@@ -14,7 +14,6 @@ from planes.lattice import (
     Plane,
     PluckerVector,
     SymMatrix4,
-    disc_of_plane,
     enumerate_planes,
     orth_complement,
     plucker_of_basis,
@@ -34,7 +33,6 @@ from planes.qform import (
     reduce,
 )
 from planes.repnum import (
-    DirichletCoeffs,
     OracleMismatchError,
     RepDecomposition,
     r3,

@@ -11,73 +11,56 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import inspect
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import lattice, mds, qform, repnum, suites
 from .klein import klein_map
 from .repnum import OracleMismatchError
 
-DEFAULT_DISC_BOUND = 500
-DEFAULT_SERIES_DMAX = 200
-DEFAULT_PRIME_CUTOFF = 10 ** 4
-
-# flags each suite understands; anything else is silently left at the
-# suite's own default
-_SUITE_KW = {
-    "r24": ("dmax",),
-    "klein": ("nmax",),
-    "orth": ("nmax",),
-    "local-identity": ("order",),
-    "p-local": ("fmax",),
-    "class-number": ("dmax",),
-    "l-value": ("dmax",),
-    "gauss-genus": ("nmax",),
-    "comp-ort": ("nmax",),
-    "pair-genus": ("nmax",),
-    "genus-structure": ("nmax",),
-    "global-identity": ("w", "dmax", "prime_cutoff"),
-}
-
 _PLUCKER_COLS = ("p12", "p13", "p14", "p23", "p24", "p34")
 
 
-@dataclass
-class RunConfig:
-    """One resolved invocation: command, bounds, and output routing."""
+@functools.cache
+def _suite_bounds() -> dict[str, dict[str, object]]:
+    """Each suite's bounds and their defaults, read off its signature.
 
-    command: str
-    disc: int | None = None
-    dmax: int | None = None
-    nmax: int | None = None
-    fmax: int | None = None
-    order: int | None = None
-    prime_cutoff: int | None = None
-    w: float | None = None
-    suite: str | None = None
-    fmt: str = "json"
-    out: str | None = None
-
-    def __post_init__(self):
-        for name in ("dmax", "nmax", "fmax", "order", "prime_cutoff"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"--{name.replace('_', '-')} must be positive")
-        if self.fmt not in ("json", "csv", "text"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.suite is not None and self.suite != "all" \
-                and self.suite not in suites.SUITES:
-            known = ", ".join(sorted(suites.SUITES) + ["all"])
-            raise ValueError(f"unknown suite {self.suite!r}; choose from {known}")
+    The signatures are the one place that says which flags `verify` takes
+    and where each goes; `inspect.signature` sees through wrappers that
+    set `__wrapped__`.
+    """
+    return {name: {p.name: p.default
+                   for p in inspect.signature(fn).parameters.values()}
+            for name, fn in suites.SUITES.items()}
 
 
-def _disc_bound_from_env() -> int:
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _add_bound(parser, name: str, like, **kwargs) -> None:
+    """A flag for one suite bound, typed after the bound's signature default
+    `like`: integer bounds must be positive."""
+    kind = _positive if type(like) is int else type(like)
+    parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                        **kwargs)
+
+
+def _disc_bound_from_env() -> int | None:
     raw = os.environ.get("PLANES_MAX_DISC")
     if raw is None:
-        return DEFAULT_DISC_BOUND
+        return None
     try:
         bound = int(raw)
     except ValueError:
@@ -87,7 +70,10 @@ def _disc_bound_from_env() -> int:
     return bound
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every `cmd_dispatch` reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", dest="fmt", choices=("json", "csv", "text"),
                         default="json", help="output format (default json)")
@@ -120,59 +106,38 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="negative discriminant, e.g. -20")
 
     p = sub.add_parser("series", parents=[common],
-                       help="Dirichlet coefficients and the global identity")
-    p.add_argument("--dmax", type=int, default=DEFAULT_SERIES_DMAX, metavar="N")
-    p.add_argument("--w", type=float, default=4.0,
-                   help="evaluation point, must exceed 2 (default 4)")
-    p.add_argument("--prime-cutoff", dest="prime_cutoff", type=int,
-                   default=DEFAULT_PRIME_CUTOFF, metavar="P")
+                       help="Dirichlet coefficients and the global identity "
+                            "(defaults as in verify global-identity)")
+    for name, default in _suite_bounds()["global-identity"].items():
+        _add_bound(p, name, default, default=default,
+                   help=f"default {default}")
 
     p = sub.add_parser("verify", parents=[common],
                        help="run one verification suite, or all of them")
     p.add_argument("suite", choices=sorted(suites.SUITES) + ["all"],
                    metavar="SUITE",
                    help="one of: " + ", ".join(sorted(suites.SUITES) + ["all"]))
-    p.add_argument("--dmax", type=int, default=None, metavar="N")
-    p.add_argument("--nmax", type=int, default=None, metavar="N")
-    p.add_argument("--fmax", type=int, default=None, metavar="N")
-    p.add_argument("--order", type=int, default=None, metavar="K",
-                   help="series truncation order for local-identity")
-    p.add_argument("--w", type=float, default=None)
-    p.add_argument("--prime-cutoff", dest="prime_cutoff", type=int,
-                   default=None, metavar="P")
+    takers: dict[str, list[str]] = {}
+    for suite, bounds in _suite_bounds().items():
+        for name in bounds:
+            takers.setdefault(name, []).append(suite)
+    for name, names in takers.items():
+        # absent unless given, so each suite keeps its own default
+        _add_bound(p, name, _suite_bounds()[names[0]][name],
+                   default=argparse.SUPPRESS,
+                   help="taken by " + ", ".join(names))
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        disc=getattr(args, "disc", None),
-        dmax=getattr(args, "dmax", None),
-        nmax=getattr(args, "nmax", None),
-        fmax=getattr(args, "fmax", None),
-        order=getattr(args, "order", None),
-        prime_cutoff=getattr(args, "prime_cutoff", None),
-        w=getattr(args, "w", None),
-        suite=getattr(args, "suite", None),
-        fmt=args.fmt,
-        out=args.out,
-    )
-    # the environment bound stands in for the default disc ceiling
-    if cfg.command == "verify" and cfg.suite in ("r24", "all") \
-            and cfg.dmax is None:
-        cfg.dmax = _disc_bound_from_env()
-    return cfg
-
-
-def _require_positive_disc(cfg: RunConfig) -> int:
-    if cfg.disc is None or cfg.disc < 1:
+def _positive_disc(args: argparse.Namespace) -> int:
+    if args.disc < 1:
         raise ValueError("--disc must be a positive integer here")
-    return cfg.disc
+    return args.disc
 
 
-def _cmd_count(cfg: RunConfig) -> tuple[dict, int]:
-    d = _require_positive_disc(cfg)
+def _cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
+    d = _positive_disc(args)
     formula = repnum.r24_formula(d)
     try:
         oracle = repnum.r24_oracle(d)
@@ -186,16 +151,16 @@ def _cmd_count(cfg: RunConfig) -> tuple[dict, int]:
     return payload, 0 if agree else 1
 
 
-def _cmd_enumerate(cfg: RunConfig) -> tuple[dict, int]:
-    d = _require_positive_disc(cfg)
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
+    d = _positive_disc(args)
     planes = lattice.enumerate_planes(d)
     payload = {"d": d, "count": len(planes),
                "planes": [p.to_json_dict() for p in planes]}
     return payload, 0
 
 
-def _cmd_klein(cfg: RunConfig) -> tuple[dict, int]:
-    d = _require_positive_disc(cfg)
+def _cmd_klein(args: argparse.Namespace) -> tuple[dict, int]:
+    d = _positive_disc(args)
     rows = []
     for plane in lattice.enumerate_planes(d):
         pair = klein_map(plane)
@@ -206,39 +171,47 @@ def _cmd_klein(cfg: RunConfig) -> tuple[dict, int]:
     return payload, 0
 
 
-def _cmd_classgroup(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.disc is None:
-        raise ValueError("--disc is required")
-    group = qform.class_group(cfg.disc)
-    return group.to_json_dict(), 0
+def _cmd_classgroup(args: argparse.Namespace) -> tuple[dict, int]:
+    return qform.class_group(args.disc).to_json_dict(), 0
 
 
-def _cmd_series(cfg: RunConfig) -> tuple[dict, int]:
-    coeffs = repnum.rs3_coeffs(cfg.dmax)
-    identity = mds.rs3_identity_numeric(cfg.w, cfg.dmax, cfg.prime_cutoff)
-    payload = {"dmax": cfg.dmax, "w": cfg.w,
+def _cmd_series(args: argparse.Namespace) -> tuple[dict, int]:
+    coeffs = repnum.rs3_coeffs(args.dmax)
+    identity = mds.rs3_identity_numeric(args.w, args.dmax, args.prime_cutoff)
+    payload = {"dmax": args.dmax, "w": args.w,
                "coefficients": [[d, v] for d, v in coeffs.items()],
                "identity": identity}
     return payload, 0 if identity["status"] == "pass" else 1
 
 
-def _cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.suite == "all":
-        overrides = {}
-        if cfg.dmax is not None:
-            overrides["dmax"] = cfg.dmax
-        reports = suites.run_all(**overrides)
-        ok = all(r["status"] == "pass" for r in reports)
-        payload = {"suite": "all", "status": "pass" if ok else "fail",
-                   "reports": reports}
-        return payload, 0 if ok else 1
-    kwargs = {}
-    for key in _SUITE_KW[cfg.suite]:
-        value = getattr(cfg, key)
-        if value is not None:
-            kwargs[key] = value
-    report = suites.run_suite(cfg.suite, **kwargs)
-    return report, 0 if report["status"] == "pass" else 1
+def _suite_kwargs(name: str, given: dict) -> dict:
+    """The given bounds that suite `name` names, plus PLANES_MAX_DISC as
+    the r24 ceiling when --dmax is absent."""
+    bounds = _suite_bounds()[name]
+    kwargs = {k: v for k, v in given.items() if k in bounds}
+    if name == "r24" and "dmax" not in kwargs:
+        env = _disc_bound_from_env()
+        if env is not None:
+            kwargs["dmax"] = env
+    return kwargs
+
+
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+    names = list(suites.SUITES) if args.suite == "all" else [args.suite]
+    given = {k: v for k, v in vars(args).items()
+             if any(k in bounds for bounds in _suite_bounds().values())}
+    for key in given:
+        if not any(key in _suite_bounds()[name] for name in names):
+            raise ValueError(f"--{key.replace('_', '-')} is not a bound of "
+                             f"suite {args.suite}")
+    kwargs = [_suite_kwargs(name, given) for name in names]
+    reports = [suites.run_suite(name, **kw) for name, kw in zip(names, kwargs)]
+    ok = all(r["status"] == "pass" for r in reports)
+    if args.suite != "all":
+        return reports[0], 0 if ok else 1
+    payload = {"suite": "all", "status": "pass" if ok else "fail",
+               "reports": reports}
+    return payload, 0 if ok else 1
 
 
 _COMMANDS = {
@@ -255,8 +228,16 @@ _COMMANDS = {
 # rendering
 
 
-def _csv_table(payload: dict, cfg: RunConfig) -> tuple[list[str], list[list]]:
-    cmd = cfg.command
+def _genus_of(payload: dict) -> list[int]:
+    """Genus of each form of a classgroup payload, in form order."""
+    genus = [0] * len(payload["forms"])
+    for gi, coset in enumerate(payload["genera"]):
+        for i in coset:
+            genus[i] = gi
+    return genus
+
+
+def _csv_table(payload: dict, cmd: str) -> tuple[list[str], list[list]]:
     if cmd == "count":
         header = ["d", "r24_formula", "r24_oracle", "agree"]
         row = [payload["d"], payload["r24_formula"], payload["r24_oracle"],
@@ -271,13 +252,8 @@ def _csv_table(payload: dict, cfg: RunConfig) -> tuple[list[str], list[list]]:
         return header, [r["plucker"] + r["a1"] + r["a2"]
                         for r in payload["pairs"]]
     if cmd == "classgroup":
-        header = ["a", "b", "c", "genus"]
-        genus_of = {}
-        for gi, coset in enumerate(payload["genera"]):
-            for i in coset:
-                genus_of[i] = gi
-        return header, [form + [genus_of[i]]
-                        for i, form in enumerate(payload["forms"])]
+        return ["a", "b", "c", "genus"], [
+            form + [g] for form, g in zip(payload["forms"], _genus_of(payload))]
     if cmd == "series":
         return ["d", "r24"], [list(pair) for pair in payload["coefficients"]]
     if cmd == "verify":
@@ -286,8 +262,8 @@ def _csv_table(payload: dict, cfg: RunConfig) -> tuple[list[str], list[list]]:
     raise ValueError(f"no csv table for {cmd}")
 
 
-def _render_csv(payload: dict, cfg: RunConfig) -> str:
-    header, rows = _csv_table(payload, cfg)
+def _render_csv(payload: dict, cmd: str) -> str:
+    header, rows = _csv_table(payload, cmd)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -295,8 +271,7 @@ def _render_csv(payload: dict, cfg: RunConfig) -> str:
     return buf.getvalue()
 
 
-def _render_text(payload: dict, cfg: RunConfig) -> str:
-    cmd = cfg.command
+def _render_text(payload: dict, cmd: str) -> str:
     lines = []
     if cmd == "count":
         verdict = "agree" if payload["agree"] else "DISAGREE"
@@ -316,12 +291,8 @@ def _render_text(payload: dict, cfg: RunConfig) -> str:
         n_classes = len(payload["forms"])
         lines.append(f"disc {payload['disc']}: {n_classes} classes, "
                      f"{len(payload['genera'])} genera")
-        genus_of = {}
-        for gi, coset in enumerate(payload["genera"]):
-            for i in coset:
-                genus_of[i] = gi
-        for i, form in enumerate(payload["forms"]):
-            lines.append(f"  {tuple(form)}  genus {genus_of[i]}")
+        for form, g in zip(payload["forms"], _genus_of(payload)):
+            lines.append(f"  {tuple(form)}  genus {g}")
     elif cmd == "series":
         for d, v in payload["coefficients"]:
             lines.append(f"  d={d} r24={v}")
@@ -344,12 +315,12 @@ def _render_text(payload: dict, cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(payload: dict, cfg: RunConfig) -> str:
-    if cfg.fmt == "json":
+def _render(payload: dict, args: argparse.Namespace) -> str:
+    if args.fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if cfg.fmt == "csv":
-        return _render_csv(payload, cfg)
-    return _render_text(payload, cfg)
+    if args.fmt == "csv":
+        return _render_csv(payload, args.command)
+    return _render_text(payload, args.command)
 
 
 def cmd_dispatch(argv=None) -> int:
@@ -364,16 +335,15 @@ def cmd_dispatch(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        payload, code = _COMMANDS[cfg.command](cfg)
+        payload, code = _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = _render(payload, cfg)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    text = _render(payload, args)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {cfg.out}", file=sys.stderr)
+        print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
     return code

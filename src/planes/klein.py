@@ -14,7 +14,7 @@ from math import gcd
 import numpy as np
 
 from planes import repnum
-from planes.lattice import Plane, integer_kernel, row_hnf
+from planes.lattice import Plane, hnf_rows, integer_kernel
 from planes.qform import (
     FormClass,
     GenusPartition,
@@ -62,9 +62,12 @@ def klein_map(plane: Plane) -> KleinPair:
     v = Quaternion.from_vec4(plane.basis[1])
     a1, a2 = _raw_pair(u, v)
     # basis independence, spot-checked on two unimodular rebasings
-    assert _raw_pair(u + v, v) == (a1, a2)
-    assert _raw_pair(v, -u) == (a1, a2)
-    assert a1.nr() == a2.nr() == plane.norm
+    if _raw_pair(u + v, v) != (a1, a2):
+        raise ArithmeticError("Klein pair changed under (u, v) -> (u + v, v)")
+    if _raw_pair(v, -u) != (a1, a2):
+        raise ArithmeticError("Klein pair changed under (u, v) -> (v, -u)")
+    if not a1.nr() == a2.nr() == plane.norm:
+        raise ArithmeticError("Klein pair norms differ from the plane norm")
     return KleinPair.of(a1, a2)
 
 
@@ -142,11 +145,7 @@ def orthogonal_lattice_z3(v) -> tuple[tuple[int, ...], ...]:
     v = tuple(int(c) for c in v)
     if v == (0, 0, 0):
         raise ValueError("zero vector")
-    rows = row_hnf(integer_kernel([list(v)]))
-    rows = [r for r in rows if any(r)]
-    if len(rows) != 2:
-        raise ValueError("unexpected kernel rank")
-    return tuple(tuple(r) for r in rows)
+    return integer_kernel([list(v)])
 
 
 def _class_of_gram(g00: int, g01: int, g11: int) -> FormClass:
@@ -214,13 +213,13 @@ def mu_image(plane: Plane, which: int) -> tuple[tuple[int, ...], ...]:
     for u in us:
         for w in ws:
             prod = u * w.conj() if which == 1 else u.conj() * w
-            assert prod.x0 == 0, "product is not traceless"
+            if prod.x0:
+                raise ArithmeticError("product is not traceless")
             gens.append([prod.x1, prod.x2, prod.x3])
-    rows = row_hnf(gens)
-    rows = [r for r in rows if any(r)]
+    rows = hnf_rows(gens)
     if len(rows) != 2:
         raise ValueError("unexpected image rank")
-    return tuple(tuple(r) for r in rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,8 @@ class Plane:
             raise ValueError("Plucker vector does not cut out a plane")
         u, v = ker
         back = plucker_of_basis(u, v)
-        assert back.coords == p.coords, "basis reconstruction lost the minors"
+        if back.coords != p.coords:
+            raise ArithmeticError("basis reconstruction lost the minors")
         return cls._assemble(u, v, p)
 
     @classmethod
@@ -329,10 +330,6 @@ def saturation_index(basis) -> int:
     if det_c.denominator != 1:
         raise ValueError("non-integral change of basis")
     return abs(int(det_c))
-
-
-def disc_of_plane(plane: Plane) -> int:
-    return plane.disc
 
 
 # ---------------------------------------------------------------------------

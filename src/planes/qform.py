@@ -9,8 +9,10 @@ primitive forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, isqrt
+
+from planes.lattice import _ext_gcd
 
 
 @dataclass(frozen=True, order=True)
@@ -80,7 +82,8 @@ def reduce(q: QuadForm) -> QuadForm:
     if b < 0 and (a == -b or a == c):
         b = -b
     out = QuadForm(a, b, c)
-    assert out.disc == q.disc
+    if out.disc != q.disc:
+        raise ArithmeticError(f"reduction changed the discriminant of {q}")
     return out
 
 
@@ -134,24 +137,10 @@ def _coprime_rep(q: QuadForm, m: int) -> QuadForm:
                     continue
                 val = q(x, y)
                 if val != 0 and gcd(val, m) == 1:
-                    g, s, t = _ext_gcd(x, y)
+                    _, s, t = _ext_gcd(x, y)
                     # det [[x, -t], [y, s]] = x s + y t = 1
                     return q.transform(x, -t, y, s)
     raise ArithmeticError("no represented value coprime to target found")
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def compose(c1: FormClass, c2: FormClass) -> FormClass:
@@ -171,19 +160,16 @@ def compose(c1: FormClass, c2: FormClass) -> FormClass:
     f2 = _coprime_rep(c2.form, c1.form.a)
     a1, b1 = f1.a, f1.b
     a2, b2 = f2.a, f2.b
-    assert gcd(a1, a2) == 1
+    if gcd(a1, a2) != 1:
+        raise ArithmeticError(f"leading coefficients {a1}, {a2} are not coprime")
     # solve B = b1 + 2 a1 t == b2 (mod 2 a2); b1, b2 share the parity of D
-    g, inv, _ = _ext_gcd(a1 % a2 if a2 > 1 else 0, a2)
-    if a2 == 1:
-        t = 0
-    else:
-        assert g == 1
-        t = (inv * ((b2 - b1) // 2)) % a2
+    t = (pow(a1, -1, a2) * ((b2 - b1) // 2)) % a2
     B = b1 + 2 * a1 * t
     D = c1.disc
     A = a1 * a2
     num = B * B - D
-    assert num % (4 * A) == 0
+    if num % (4 * A):
+        raise ArithmeticError(f"composed form is not integral: {A}, {B}, {D}")
     return FormClass.of(QuadForm(A, B, num // (4 * A)))
 
 
@@ -199,6 +185,7 @@ class ClassGroup:
     classes: tuple[FormClass, ...]
     table: tuple[tuple[int, ...], ...]
     identity: int
+    index: dict[FormClass, int] = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -206,16 +193,9 @@ class ClassGroup:
 
     def index_of(self, c: FormClass) -> int:
         try:
-            return self._index()[c]
+            return self.index[c]
         except KeyError:
             raise ValueError(f"{c} is not a primitive class of disc {self.disc}")
-
-    def _index(self) -> dict[FormClass, int]:
-        d = getattr(self, "_index_cache", None)
-        if d is None:
-            d = {c: i for i, c in enumerate(self.classes)}
-            object.__setattr__(self, "_index_cache", d)
-        return d
 
     def inverse(self, i: int) -> int:
         row = self.table[i]
@@ -255,11 +235,11 @@ def class_group(disc: int) -> ClassGroup:
             if q.is_primitive:
                 forms.append(FormClass(q))
     forms.sort()
-    table = tuple(
-        tuple(forms.index(compose(ci, cj)) for cj in forms) for ci in forms
-    )
-    ident = forms.index(FormClass.of(principal_form(disc)))
-    return ClassGroup(disc=disc, classes=tuple(forms), table=table, identity=ident)
+    index = {c: i for i, c in enumerate(forms)}
+    table = tuple(tuple(index[compose(ci, cj)] for cj in forms) for ci in forms)
+    ident = index[FormClass.of(principal_form(disc))]
+    return ClassGroup(disc=disc, classes=tuple(forms), table=table,
+                      identity=ident, index=index)
 
 
 @dataclass(frozen=True)
@@ -268,16 +248,17 @@ class GenusPartition:
 
     group: ClassGroup
     genera: tuple[tuple[int, ...], ...]
+    genus_index: dict[int, int] = field(compare=False, repr=False)
 
     @property
     def count(self) -> int:
         return len(self.genera)
 
     def genus_of(self, i: int) -> int:
-        for gi, coset in enumerate(self.genera):
-            if i in coset:
-                return gi
-        raise ValueError("index outside group")
+        try:
+            return self.genus_index[i]
+        except KeyError:
+            raise ValueError("index outside group")
 
     def genus_of_class(self, c: FormClass) -> int:
         return self.genus_of(self.group.index_of(c))
@@ -298,4 +279,6 @@ def genus_partition(group: ClassGroup) -> GenusPartition:
         seen.update(coset)
         cosets.append(coset)
     cosets.sort(key=lambda t: t[0])
-    return GenusPartition(group=group, genera=tuple(cosets))
+    genus_index = {i: gi for gi, coset in enumerate(cosets) for i in coset}
+    return GenusPartition(group=group, genera=tuple(cosets),
+                          genus_index=genus_index)

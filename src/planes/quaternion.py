@@ -98,15 +98,3 @@ class TracelessQuaternion:
 
     def nr(self) -> int:
         return self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2
-
-
-def mul(q: Quaternion, r: Quaternion) -> Quaternion:
-    return q * r
-
-
-def conj(q: Quaternion) -> Quaternion:
-    return q.conj()
-
-
-def nr(q: Quaternion) -> int:
-    return q.nr()

@@ -197,8 +197,9 @@ def r3_prim(n: int) -> int:
         val = Fraction(r3(n0) * m)
         for p in prime_factors(m):
             val *= 1 - Fraction(legendre_symbol(-n0, p), p)
-        assert val.denominator == 1 and int(val) == brute, \
-            f"primitive count formula disagrees at n={n}: {val} vs {brute}"
+        if val != brute:
+            raise ArithmeticError(
+                f"primitive count formula disagrees at n={n}: {val} vs {brute}")
     return brute
 
 
@@ -279,7 +280,8 @@ def r24_formula(d: int) -> int:
     cd = {0: Fraction(1, 3), 1: Fraction(1, 6),
           2: Fraction(1, 6), 3: Fraction(1, 2)}[d % 4]
     val = cd * r3(dec.d0) ** 2 * f_sum(dec.d0, dec.f)
-    assert val.denominator == 1, f"count came out non-integral at d={d}"
+    if val.denominator != 1:
+        raise ArithmeticError(f"count came out non-integral at d={d}")
     return int(val)
 
 
@@ -312,23 +314,9 @@ def r24_oracle(d: int) -> int:
     return plucker_count
 
 
-@dataclass(frozen=True)
-class DirichletCoeffs:
-    """Finitely supported coefficient table of a Dirichlet series."""
-
-    dmax: int
-    values: tuple[tuple[int, int], ...]
-
-    def get(self, d: int) -> int:
-        return dict(self.values).get(d, 0)
-
-    def items(self):
-        return list(self.values)
-
-
-def rs3_coeffs(dmax: int) -> DirichletCoeffs:
-    """Coefficients of the plane-count series supported on d = 3 mod 4."""
+def rs3_coeffs(dmax: int) -> dict[int, int]:
+    """Coefficients d -> r24(d) of the plane-count series, d = 3 mod 4 up to
+    dmax; every other coefficient is zero."""
     if dmax < 0:
         raise ValueError("bound must be nonnegative")
-    vals = tuple((d, r24_formula(d)) for d in range(3, dmax + 1, 4))
-    return DirichletCoeffs(dmax=dmax, values=vals)
+    return {d: r24_formula(d) for d in range(3, dmax + 1, 4)}

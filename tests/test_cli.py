@@ -1,10 +1,12 @@
 """End-to-end behavior of the planes command line."""
 
+import functools
 import json
 
 import pytest
 
-from planes.cli import RunConfig, cmd_dispatch
+from planes import suites
+from planes.cli import cmd_dispatch
 
 
 def run(capsys, *argv):
@@ -47,6 +49,8 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "verify", "bogus")[0] == 2
+    assert run(capsys, "count", "--disc", "45", "--format", "yaml")[0] == 2
+    assert run(capsys, "verify", "r24", "--dmax", "0")[0] == 2
 
 
 def test_count_nonpositive_reports_reason(capsys):
@@ -188,12 +192,58 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == direct
 
 
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig(command="verify", suite="nope")
-    with pytest.raises(ValueError):
-        RunConfig(command="count", fmt="yaml")
-    with pytest.raises(ValueError):
-        RunConfig(command="verify", suite="r24", dmax=0)
-    cfg = RunConfig(command="verify", suite="all")
-    assert cfg.fmt == "json" and cfg.out is None
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "local-identity", "--nmax", "3"], "--nmax"),
+    (["verify", "p-local", "--dmax", "9"], "--dmax"),
+])
+def test_flag_the_suite_does_not_take_is_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert flag in err
+
+
+@pytest.fixture
+def suite_calls(monkeypatch):
+    """Every suite replaced by a passing stub of the same signature; maps
+    each suite to the keyword arguments its stub received."""
+    monkeypatch.delenv("PLANES_MAX_DISC", raising=False)
+    calls = {}
+    for name, fn in list(suites.SUITES.items()):
+        @functools.wraps(fn)
+        def stub(*args, _name=name, **kwargs):
+            assert not args
+            calls[_name] = kwargs
+            return {"check": _name, "status": "pass", "detail": {}}
+        monkeypatch.setitem(suites.SUITES, name, stub)
+    return calls
+
+
+NMAX_SUITES = {"klein", "orth", "gauss-genus", "comp-ort", "pair-genus",
+               "genus-structure"}
+DMAX_SUITES = {"r24", "class-number", "l-value", "global-identity"}
+
+
+def test_verify_all_passes_no_bounds(capsys, suite_calls):
+    assert run(capsys, "verify", "all")[0] == 0
+    assert suite_calls == {name: {} for name in suites.SUITES}
+
+
+def test_verify_all_env_bound_reaches_r24_alone(capsys, suite_calls,
+                                                monkeypatch):
+    monkeypatch.setenv("PLANES_MAX_DISC", "40")
+    assert run(capsys, "verify", "all")[0] == 0
+    expected = {name: {} for name in suites.SUITES}
+    expected["r24"] = {"dmax": 40}
+    assert suite_calls == expected
+    # an explicit --dmax wins over the environment
+    assert run(capsys, "verify", "all", "--dmax", "5")[0] == 0
+    assert suite_calls["r24"] == {"dmax": 5}
+
+
+@pytest.mark.parametrize("flag,takers", [("nmax", NMAX_SUITES),
+                                         ("dmax", DMAX_SUITES)])
+def test_verify_all_routes_a_flag_to_every_taker(capsys, suite_calls,
+                                                 flag, takers):
+    assert run(capsys, "verify", "all", f"--{flag}", "5")[0] == 0
+    assert suite_calls == {name: ({flag: 5} if name in takers else {})
+                           for name in suites.SUITES}

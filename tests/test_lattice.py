@@ -16,7 +16,6 @@ from planes.lattice import (
     Plane,
     PluckerVector,
     SymMatrix4,
-    disc_of_plane,
     enumerate_planes,
     integer_kernel,
     orth_complement,
@@ -94,9 +93,9 @@ def test_orth_complement_examples():
 
 
 def test_disc_of_plane_examples():
-    assert disc_of_plane(Plane.from_basis(E1, E2)) == -4
-    assert disc_of_plane(Plane.from_basis((1, 1, 0, 0), (0, 0, 1, 1))) == -16
-    assert disc_of_plane(Plane.from_plucker(PluckerVector(1, 0, 1, -1, 0, 1))) == -16
+    assert Plane.from_basis(E1, E2).disc == -4
+    assert Plane.from_basis((1, 1, 0, 0), (0, 0, 1, 1)).disc == -16
+    assert Plane.from_plucker(PluckerVector(1, 0, 1, -1, 0, 1)).disc == -16
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 12, 45])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from planes.quaternion import Quaternion, TracelessQuaternion, conj, mul, nr
+from planes.quaternion import Quaternion, TracelessQuaternion
 
 coeff = st.integers(min_value=-10, max_value=10)
 quat = st.builds(Quaternion, coeff, coeff, coeff, coeff)
@@ -16,47 +16,47 @@ K = Quaternion(0, 0, 0, 1)
 
 
 def test_hamilton_relations():
-    assert mul(I, J) == K
-    assert mul(J, K) == I
-    assert mul(K, I) == J
-    assert mul(I, I) == -ONE
-    assert mul(J, I) == -K
+    assert I * J == K
+    assert J * K == I
+    assert K * I == J
+    assert I * I == -ONE
+    assert J * I == -K
 
 
 def test_identity_and_sample_norms():
     q = Quaternion(2, -1, 3, 0)
-    assert mul(q, ONE) == q
-    assert nr(mul(ONE + I, ONE + J)) == 4
-    assert nr(ONE + I + J + K) == 4
-    assert nr(Quaternion(0, 0, 0, 0)) == 0
-    assert nr(Quaternion(0, 2, -1, 0)) == 5
+    assert q * ONE == q
+    assert ((ONE + I) * (ONE + J)).nr() == 4
+    assert (ONE + I + J + K).nr() == 4
+    assert Quaternion(0, 0, 0, 0).nr() == 0
+    assert Quaternion(0, 2, -1, 0).nr() == 5
 
 
 def test_conjugation_examples():
-    assert conj(ONE + I) == ONE - I
-    assert conj(Quaternion(5, 0, 0, 0)) == Quaternion(5, 0, 0, 0)
-    assert conj(I + J + K) == -(I + J + K)
+    assert (ONE + I).conj() == ONE - I
+    assert Quaternion(5, 0, 0, 0).conj() == Quaternion(5, 0, 0, 0)
+    assert (I + J + K).conj() == -(I + J + K)
 
 
 @given(quat, quat)
 def test_norm_multiplicative(q, r):
-    assert nr(mul(q, r)) == nr(q) * nr(r)
+    assert (q * r).nr() == q.nr() * r.nr()
 
 
 @given(quat, quat)
 def test_conjugation_antihomomorphism(q, r):
-    assert conj(mul(q, r)) == mul(conj(r), conj(q))
+    assert (q * r).conj() == r.conj() * q.conj()
 
 
 @given(quat)
 def test_conjugation_involution_and_norm(q):
-    assert conj(conj(q)) == q
-    assert mul(q, conj(q)) == Quaternion(nr(q), 0, 0, 0)
+    assert q.conj().conj() == q
+    assert q * q.conj() == Quaternion(q.nr(), 0, 0, 0)
 
 
 @given(quat, quat)
 def test_trace_pairing_is_twice_dot(q, r):
-    assert mul(q, conj(r)).tr() == 2 * q.dot(r)
+    assert (q * r.conj()).tr() == 2 * q.dot(r)
 
 
 @given(st.builds(TracelessQuaternion, coeff, coeff, coeff))

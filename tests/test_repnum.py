@@ -188,12 +188,11 @@ def test_oracle_mismatch_message():
 
 def test_rs3_coeffs_support():
     table = rs3_coeffs(30)
-    assert table.dmax == 30
-    assert [d for d, _ in table.items()] == [3, 7, 11, 15, 19, 23, 27]
+    assert list(table) == [3, 7, 11, 15, 19, 23, 27]
     for d, v in table.items():
         assert d % 4 == 3
         assert v == r24_formula(d)
-    assert table.get(4) == 0
-    assert table.get(3) == 32
+    assert table.get(4, 0) == 0
+    assert table[3] == 32
     with pytest.raises(ValueError):
         rs3_coeffs(-1)
