@@ -6,7 +6,7 @@ import json
 import pytest
 
 from planes import suites
-from planes.cli import cmd_dispatch
+from planes.cli import _build_parser, cmd_dispatch
 
 
 def run(capsys, *argv):
@@ -190,6 +190,22 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert out == ""
     assert f"wrote {target}" in err
     assert target.read_text(encoding="utf-8") == direct
+
+
+def test_runconfig_validation(capsys):
+    # the parsed namespace is the run config: the parser rejects what the
+    # config must not hold, and fills in its defaults
+    parser = _build_parser()
+    for argv in (["verify", "nope"],
+                 ["count", "--disc", "45", "--format", "yaml"],
+                 ["verify", "r24", "--dmax", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = parser.parse_args(["verify", "all"])
+    assert cfg.command == "verify" and cfg.suite == "all"
+    assert cfg.fmt == "json" and cfg.out is None
 
 
 @pytest.mark.parametrize("argv,flag", [
