@@ -17,7 +17,6 @@ from planes import repnum
 from planes.lattice import Plane, hnf_rows, integer_kernel
 from planes.qform import (
     FormClass,
-    GenusPartition,
     QuadForm,
     class_group,
     compose,
@@ -199,24 +198,28 @@ def _require_theorem_norm(n: int) -> None:
         raise ValueError("theorem hypotheses not met: need squarefree norm 1 mod 4")
 
 
+def mu_products(plane: Plane, comp: Plane, which: int):
+    """Traceless products g[a][b] of the basis vectors u_a of the plane
+    and w_b of its complement comp: u_a*conj(w_b) (which=1) or
+    conj(u_a)*w_b (which=2), each as a vector in Z^3."""
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
+    us = [Quaternion.from_vec4(b) for b in plane.basis]
+    ws = [Quaternion.from_vec4(b) for b in comp.basis]
+    prods = [[u * w.conj() if which == 1 else u.conj() * w for w in ws] for u in us]
+    if any(p.x0 for row in prods for p in row):
+        raise ArithmeticError("product is not traceless")
+    return tuple(tuple((p.x1, p.x2, p.x3) for p in row) for row in prods)
+
+
 def mu_image(plane: Plane, which: int) -> tuple[tuple[int, ...], ...]:
     """Hermite basis of the lattice spanned by the quaternion products
     u*conj(w) (which=1) or conj(u)*w (which=2), u in the plane and w in
     its complement.  Both lattices are orthogonal complements in Z^3 of
     the matching Klein component."""
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
     _require_theorem_norm(plane.norm)
-    us = [Quaternion.from_vec4(b) for b in plane.basis]
-    ws = [Quaternion.from_vec4(b) for b in plane.orthogonal_complement().basis]
-    gens = []
-    for u in us:
-        for w in ws:
-            prod = u * w.conj() if which == 1 else u.conj() * w
-            if prod.x0:
-                raise ArithmeticError("product is not traceless")
-            gens.append([prod.x1, prod.x2, prod.x3])
-    rows = hnf_rows(gens)
+    gens = mu_products(plane, plane.orthogonal_complement(), which)
+    rows = hnf_rows([g for row in gens for g in row])
     if len(rows) != 2:
         raise ValueError("unexpected image rank")
     return rows
@@ -251,8 +254,7 @@ def genus_context(n: int):
 def realizable_pair(c1: FormClass, c2: FormClass, n: int) -> bool:
     """Whether some plane of norm n has form c1 with complement form c2,
     decided by the genus of the composed pair."""
-    if n % 4 != 1 or not repnum.is_squarefree(n):
-        raise ValueError("theorem hypotheses not met: need squarefree n = 1 mod 4")
+    _require_theorem_norm(n)
     group, partition, target = genus_context(n)
     if c1.disc != -4 * n or c2.disc != -4 * n:
         raise ValueError("classes must have discriminant -4n")

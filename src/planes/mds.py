@@ -572,8 +572,8 @@ def rs3_identity_numeric(w: float, dmax: int,
     Right: the class of squarefree d0 = 3 mod 8, each weighted by
     r3(d0)^2 and the Euler product of local H factors.
     """
-    if w <= 2:
-        raise ValueError("need w > 2 for convergence")
+    if not 2 < w < math.inf:
+        raise ValueError("need a finite w > 2 for convergence")
     primes = odd_primes_upto(prime_cutoff)
     count_sum = sum(r * d ** (-w) for d, r in repnum.rs3_coeffs(max(dmax, 0)).items())
     lhs = (math.pi ** 2 / 128) * _zeta2_euler(2 * w, primes) \

@@ -7,7 +7,7 @@ inputs.  The registry at the bottom is what the CLI dispatches on.
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import product
 
 from planes import klein, lattice, mds, qform, repnum
 from planes.lattice import enumerate_planes, integer_kernel, orth_complement, plucker_of_basis
@@ -73,14 +73,13 @@ def check_orth(nmax: int = 200) -> dict:
             ker = integer_kernel([list(u), list(v)])
             direct = plucker_of_basis(ker[0], ker[1]).sign_normalized()
             formula = orth_complement(plane.plucker)
-            comp = plane.orthogonal_complement()
             if direct.coords != formula.coords:
                 failures.append({"n": n, "plucker": plane.plucker.coords,
                                  "kernel": direct.coords,
                                  "shuffle": formula.coords})
-            if comp.disc != plane.disc:
+            if -4 * direct.norm() != plane.disc:
                 failures.append({"n": n, "disc": plane.disc,
-                                 "complement_disc": comp.disc})
+                                 "complement_disc": -4 * direct.norm()})
     return _report("orth", failures[:20], {"nmax": nmax})
 
 
@@ -142,28 +141,29 @@ def check_gauss_genus(nmax: int = 200) -> dict:
     return _report("gauss-genus", failures, {"nmax": nmax})
 
 
-def _legendre_grid_ok(plane, pair) -> bool:
-    from planes.quaternion import Quaternion
+def _with_complements(n: int, failures: list):
+    """Each plane of norm n with its complement, looked up by the shuffled
+    Plucker vector among the planes of norm n; a miss is a failure."""
+    planes = enumerate_planes(n)
+    by_plucker = {plane.plucker: plane for plane in planes}
+    for plane in planes:
+        comp = by_plucker.get(orth_complement(plane.plucker))
+        if comp is None:
+            failures.append({"n": n, "plucker": plane.plucker.coords,
+                             "why": "complement not among the planes"})
+        else:
+            yield plane, comp
 
-    us = [Quaternion.from_vec4(b) for b in plane.basis]
-    comp = plane.orthogonal_complement()
-    ws = [Quaternion.from_vec4(b) for b in comp.basis]
-    rng = np.arange(-3, 4)
-    cc = np.stack(np.meshgrid(rng, rng, indexing="ij"), axis=-1).reshape(-1, 2)
-    gram_l = np.array(plane.gram)
-    gram_w = np.array(comp.gram)
-    q_u = np.einsum("ia,ab,ib->i", cc, gram_l, cc)
-    q_w = np.einsum("ia,ab,ib->i", cc, gram_w, cc)
-    for which in (1, 2):
-        gens = np.empty((2, 2, 3), dtype=np.int64)
-        for a in range(2):
-            for b in range(2):
-                prod = us[a] * ws[b].conj() if which == 1 else us[a].conj() * ws[b]
-                gens[a, b] = (prod.x1, prod.x2, prod.x3)
-        vec = np.einsum("ia,jb,abk->ijk", cc, cc, gens)
-        if not np.array_equal((vec ** 2).sum(axis=2), np.outer(q_u, q_w)):
-            return False
-    return True
+
+def _norm_identity_ok(gens, gram_l, gram_w) -> bool:
+    """N(sum x_a y_b g_ab) = Q_L(x) Q_W(y) as polynomials in x and y,
+    compared on the symmetrised coefficients of each monomial."""
+    def dot(s, t):
+        return sum(i * j for i, j in zip(s, t))
+
+    return all(dot(gens[a][b], gens[c][d]) + dot(gens[a][d], gens[c][b])
+               == 2 * gram_l[a][c] * gram_w[b][d]
+               for a, b, c, d in product((0, 1), repeat=4))
 
 
 def check_comp_ort(nmax: int = 150) -> dict:
@@ -172,19 +172,19 @@ def check_comp_ort(nmax: int = 150) -> dict:
     for n in range(5, nmax + 1, 4):
         if not repnum.is_squarefree(n):
             continue
-        for plane in enumerate_planes(n):
+        for plane, comp in _with_complements(n, failures):
             pair = klein.klein_map(plane)
-            ok = True
             for which, a in ((1, pair.a1), (2, pair.a2)):
-                img = klein.mu_image(plane, which)
+                gens = klein.mu_products(plane, comp, which)
+                img = lattice.hnf_rows([g for row in gens for g in row])
                 expected = klein.orthogonal_lattice_z3(a.vec3())
                 if img != expected:
                     failures.append({"n": n, "which": which,
                                      "image": img, "orthogonal": expected})
-                    ok = False
-            if ok and not _legendre_grid_ok(plane, pair):
-                failures.append({"n": n, "plucker": plane.plucker.coords,
-                                 "why": "norm identity on grid"})
+                elif not _norm_identity_ok(gens, plane.gram, comp.gram):
+                    failures.append({"n": n, "which": which,
+                                     "plucker": plane.plucker.coords,
+                                     "why": "norm identity coefficients"})
     return _report("comp-ort", failures[:20], {"nmax": nmax})
 
 
@@ -195,12 +195,9 @@ def check_pair_genus(nmax: int = 150) -> dict:
         if not repnum.is_squarefree(n):
             continue
         group, partition, target = klein.genus_context(n)
-        observed = set()
-        for plane in enumerate_planes(n):
-            c1 = qform.FormClass.of(qform.QuadForm(*plane.binary_form()))
-            c2 = qform.FormClass.of(
-                qform.QuadForm(*plane.orthogonal_complement().binary_form()))
-            observed.add((c1, c2))
+        observed = {(qform.FormClass.of(qform.QuadForm(*plane.binary_form())),
+                     qform.FormClass.of(qform.QuadForm(*comp.binary_form())))
+                    for plane, comp in _with_complements(n, failures)}
         predicted = {
             (c1, c2)
             for c1 in group.classes for c2 in group.classes

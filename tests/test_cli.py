@@ -51,6 +51,9 @@ def test_usage_errors(capsys):
     assert run(capsys, "verify", "bogus")[0] == 2
     assert run(capsys, "count", "--disc", "45", "--format", "yaml")[0] == 2
     assert run(capsys, "verify", "r24", "--dmax", "0")[0] == 2
+    assert run(capsys, "series", "--w", "inf", "--dmax", "15")[0] == 2
+    assert run(capsys, "series", "--w", "nan", "--dmax", "15")[0] == 2
+    assert run(capsys, "verify", "global-identity", "--w", "nan")[0] == 2
 
 
 def test_count_nonpositive_reports_reason(capsys):

@@ -248,3 +248,7 @@ def test_identity_numeric_rejects_small_w():
         rs3_identity_numeric(2.0, 100)
     with pytest.raises(ValueError):
         rs3_identity_numeric(1.5, 100)
+    with pytest.raises(ValueError):
+        rs3_identity_numeric(math.inf, 100)
+    with pytest.raises(ValueError):
+        rs3_identity_numeric(math.nan, 100)

@@ -1,0 +1,73 @@
+"""The per-plane suites: the comp-ort norm identity check against the grid
+it replaced, and failures reported rather than raised."""
+
+from itertools import product
+
+import numpy as np
+import pytest
+
+from planes import lattice, suites
+from planes.klein import mu_products
+from planes.lattice import PluckerVector, enumerate_planes
+
+
+def _grid_ok(stack, gram_l, gram_w):
+    """Reference: N(x*y) = Q_L(x) Q_W(y) sampled on a 7x7 grid in each
+    of x and y, the check comp-ort made before comparing coefficients;
+    one verdict for each 2x2 table of products in the stack."""
+    rng = np.arange(-3, 4)
+    cc = np.stack(np.meshgrid(rng, rng, indexing="ij"), axis=-1).reshape(-1, 2)
+    q_u = np.einsum("ia,ab,ib->i", cc, np.array(gram_l), cc)
+    q_w = np.einsum("ia,ab,ib->i", cc, np.array(gram_w), cc)
+    vec = np.einsum("ia,jb,mabk->mijk", cc, cc,
+                    np.array(stack, dtype=np.int64), optimize=True)
+    return ((vec ** 2).sum(axis=3) == np.outer(q_u, q_w)).all(axis=(1, 2))
+
+
+def _moved(gens):
+    """Every copy of the products with one coordinate moved by +-1."""
+    for a, b, k, step in product((0, 1), (0, 1), range(3), (1, -1)):
+        rows = [[list(g) for g in row] for row in gens]
+        rows[a][b][k] += step
+        yield rows
+
+
+def _negated(gens):
+    """Every copy of the products with one of them negated; the identity
+    can survive this, so the two checks need only agree."""
+    for a, b in product((0, 1), repeat=2):
+        rows = [[list(g) for g in row] for row in gens]
+        rows[a][b] = [-x for x in rows[a][b]]
+        yield rows
+
+
+@pytest.mark.parametrize("n", [5, 13, 17])
+def test_norm_identity_coefficients_agree_with_grid(n):
+    for plane in enumerate_planes(n):
+        comp = plane.orthogonal_complement()
+        for which in (1, 2):
+            gens = mu_products(plane, comp, which)
+            moved = list(_moved(gens))
+            assert suites._norm_identity_ok(gens, plane.gram, comp.gram)
+            assert not any(suites._norm_identity_ok(bad, plane.gram, comp.gram)
+                           for bad in moved)
+            grid = _grid_ok([gens, *moved], plane.gram, comp.gram)
+            assert grid[0] and not grid[1:].any()
+            negated = list(_negated(gens))
+            assert list(_grid_ok(negated, plane.gram, comp.gram)) == [
+                suites._norm_identity_ok(t, plane.gram, comp.gram)
+                for t in negated]
+
+
+def test_orth_reports_a_wrong_shuffle(monkeypatch):
+    def wrong(p):
+        a, b, c, d, e, f = p.coords
+        return PluckerVector(f, e, d, c, -b, a)
+
+    monkeypatch.setattr(suites, "orth_complement", wrong)
+    monkeypatch.setattr(lattice, "orth_complement", wrong)
+    report = suites.check_orth(nmax=5)
+    assert report["status"] == "fail"
+    assert report["detail"]["failures"]
+    # the complement lookup of pair-genus misses and says so
+    assert suites.check_pair_genus(nmax=5)["status"] == "fail"
