@@ -11,12 +11,13 @@ Conventions used throughout:
   with the first nonzero coordinate positive.
 * disc(L) = -4 * det(Gram basis) = -4 * (a^2 + ... + f^2).
 
-Enumeration walks the outer triple (a, b, c) and solves the relation,
-which is linear in (d, e, f), for the remaining coordinate; the inner
-loops are flat numpy scans.  Results are cached per norm so that sweeps
-over a range of discriminants pay for a single pass.  The outer loop is
-shardable (disjoint (a, b, c) blocks, merged by union); the cache is
-guarded by a lock and only ever grows.
+Enumeration writes the relation as x . y = 0 with x = (a, b, c) and
+y = (f, -e, d).  For each x != 0 whose first nonzero entry x_k is
+positive, the other two entries of y run over a norm-sorted disk in one
+numpy scan and y_k follows by exact division; x = 0 leaves any primitive
+(d, e, f).  The solutions live in a `NormTable`, the grow-only,
+lock-guarded table split by norm that also holds the sphere points of
+`repnum`, so sweeps over a range of discriminants pay for a few passes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt
 
 import numpy as np
@@ -292,13 +294,6 @@ class Plane:
     def orthogonal_complement(self) -> "Plane":
         return Plane.from_plucker(orth_complement(self.plucker))
 
-    def saturation_index(self) -> int:
-        """Index of the basis span inside its saturation, via Hermite solving.
-
-        Independent of the gcd of the minors; for a valid Plane this is 1.
-        """
-        return saturation_index(self.basis)
-
     def to_json_dict(self) -> dict:
         return {
             "plucker": list(self.plucker.coords),
@@ -336,180 +331,108 @@ def saturation_index(basis) -> int:
 # enumeration of all primitive planes of a given norm
 
 
-_cache_lock = threading.Lock()
-_plucker_cache: dict[int, np.ndarray] = {}
-_plucker_cache_nmax = -1
+class NormTable:
+    """Integer rows grouped by norm, for every norm up to a ceiling that
+    only grows.
 
-_EMPTY = np.empty((0, 6), dtype=np.int64)
+    ``build(nmax)`` returns the norms and the rows of all entries of norm
+    at most nmax, in any order.  A request past the ceiling rebuilds the
+    table under the lock, up to the largest of the request, twice the old
+    ceiling and 64, so a rising sweep of requests pays for a few builds.
+    Rows of one norm are sorted lexicographically.
+    """
+
+    def __init__(self, build, width: int):
+        self._build = build
+        self._lock = threading.Lock()
+        self._rows: dict[int, np.ndarray] = {}
+        self._empty = np.empty((0, width), dtype=np.int64)
+        self.nmax = -1
+
+    def warm(self, nmax: int) -> None:
+        if nmax <= self.nmax:
+            return
+        with self._lock:
+            if nmax <= self.nmax:
+                return
+            target = max(nmax, 2 * self.nmax, 64)
+            ns, rows = self._build(target)
+            order = np.lexsort((*rows.T[::-1], ns))
+            ns, rows = ns[order], rows[order]
+            starts = np.flatnonzero(np.diff(ns)) + 1
+            self._rows = dict(zip(ns[np.r_[0, starts]].tolist(),
+                                  np.split(rows, starts)))
+            self.nmax = target
+
+    def get(self, n: int) -> np.ndarray:
+        """Rows of norm n; empty if there are none (or n is past the ceiling)."""
+        return self._rows.get(n, self._empty)
 
 
-def _bulk_enumerate(nmax: int) -> dict[int, np.ndarray]:
-    """One pass over all sign-normalized primitive solutions of norm <= nmax."""
-    out_n: list[np.ndarray] = []
-    out_rows: list[np.ndarray] = []
+def _bulk_enumerate(nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Norms and rows of all sign-normalized primitive solutions of norm <= nmax.
+
+    With x = (a, b, c) and y = (f, -e, d) the relation reads x . y = 0.
+    """
     R = isqrt(nmax)
     rng = np.arange(-R, R + 1, dtype=np.int64)
-    P0, Q0 = np.meshgrid(rng, rng, indexing="ij")
-    P0 = P0.ravel()
-    Q0 = Q0.ravel()
-    NORM = P0 * P0 + Q0 * Q0
-    order = np.argsort(NORM, kind="stable")
-    P0, Q0, NORM = P0[order], Q0[order], NORM[order]
+    P, Q = (g.ravel() for g in np.meshgrid(rng, rng, indexing="ij"))
+    disk = np.argsort(P * P + Q * Q, kind="stable")
+    P, Q = P[disk], Q[disk]
+    NORM = P * P + Q * Q
+    out_n: list[np.ndarray] = []
+    out_rows: list[np.ndarray] = []
 
-    def emit(n_arr, rows):
-        if len(n_arr):
-            out_n.append(n_arr)
-            out_rows.append(rows)
+    def emit(x, d, e, f, nv):
+        keep = nv <= nmax
+        g = gcd(*x)
+        if g != 1:  # a primitive x makes every solution primitive
+            keep &= np.gcd(np.gcd(np.gcd(d, e), f), g) == 1
+        rows = np.empty((int(keep.sum()), 6), dtype=np.int64)
+        rows[:, :3] = x
+        rows[:, 3], rows[:, 4], rows[:, 5] = d[keep], e[keep], f[keep]
+        out_n.append(nv[keep])
+        out_rows.append(rows)
 
-    def gcd_rows(g0, cols):
-        g = np.full(cols[0].shape, abs(g0), dtype=np.int64)
-        for col in cols:
-            g = np.gcd(g, np.abs(col))
-        return g
-
-    # a > 0: solve f from the relation
-    for a in range(1, R + 1):
-        rb = isqrt(nmax - a * a)
-        for b in range(-rb, rb + 1):
-            rc = isqrt(nmax - a * a - b * b)
-            for c in range(-rc, rc + 1):
-                s = a * a + b * b + c * c
-                L = int(np.searchsorted(NORM, nmax - s, side="right"))
-                if L == 0:
-                    continue
-                D, E, NDE = P0[:L], Q0[:L], NORM[:L]
-                t = b * E - c * D
-                mask = t % a == 0
-                if not mask.any():
-                    continue
-                D, E, NDE, t = D[mask], E[mask], NDE[mask], t[mask]
-                F = t // a
-                nv = s + NDE + F * F
-                keep = nv <= nmax
-                if not keep.any():
-                    continue
-                D, E, F, nv = D[keep], E[keep], F[keep], nv[keep]
-                g = gcd_rows(gcd(a, gcd(b, c)), (D, E, F))
-                prim = g == 1
-                if not prim.any():
-                    continue
-                D, E, F, nv = D[prim], E[prim], F[prim], nv[prim]
-                rows = np.empty((len(D), 6), dtype=np.int64)
-                rows[:, 0] = a
-                rows[:, 1] = b
-                rows[:, 2] = c
-                rows[:, 3] = D
-                rows[:, 4] = E
-                rows[:, 5] = F
-                emit(nv, rows)
-
-    # a = 0, b > 0: solve e = c*d/b from the relation
-    for b in range(1, R + 1):
-        rc = isqrt(nmax - b * b)
-        for c in range(-rc, rc + 1):
-            s = b * b + c * c
-            L = int(np.searchsorted(NORM, nmax - s, side="right"))
-            if L == 0:
-                continue
-            D, F, NDF = P0[:L], Q0[:L], NORM[:L]
-            t = c * D
-            mask = t % b == 0
-            D, F, NDF, t = D[mask], F[mask], NDF[mask], t[mask]
-            if not len(D):
-                continue
-            E = t // b
-            nv = s + NDF + E * E
-            keep = nv <= nmax
-            D, E, F, nv = D[keep], E[keep], F[keep], nv[keep]
-            if not len(D):
-                continue
-            g = gcd_rows(gcd(b, c), (D, E, F))
-            prim = g == 1
-            D, E, F, nv = D[prim], E[prim], F[prim], nv[prim]
-            if not len(D):
-                continue
-            rows = np.empty((len(D), 6), dtype=np.int64)
-            rows[:, 0] = 0
-            rows[:, 1] = b
-            rows[:, 2] = c
-            rows[:, 3] = D
-            rows[:, 4] = E
-            rows[:, 5] = F
-            emit(nv, rows)
-
-    # a = b = 0, c > 0: the relation forces d = 0
-    for c in range(1, R + 1):
-        s = c * c
+    # x != 0 with first nonzero x_k > 0: the other two entries of y run
+    # over the disk, and y_k is solved from the relation by exact division
+    for x in product(range(R + 1), range(-R, R + 1), range(-R, R + 1)):
+        k = next((m for m in range(3) if x[m]), None)
+        s = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+        if k is None or x[k] < 0 or s > nmax:
+            continue
+        i, j = (m for m in range(3) if m != k)
         L = int(np.searchsorted(NORM, nmax - s, side="right"))
-        if L == 0:
-            continue
-        E, F, NEF = P0[:L], Q0[:L], NORM[:L]
-        nv = s + NEF
-        g = gcd_rows(c, (E, F))
-        prim = g == 1
-        E, F, nv = E[prim], F[prim], nv[prim]
-        if not len(E):
-            continue
-        rows = np.zeros((len(E), 6), dtype=np.int64)
-        rows[:, 2] = c
-        rows[:, 4] = E
-        rows[:, 5] = F
-        emit(nv, rows)
+        t = -(x[i] * P[:L] + x[j] * Q[:L])
+        ok = t % x[k] == 0
+        y = [None] * 3
+        y[i], y[j], y[k] = P[:L][ok], Q[:L][ok], t[ok] // x[k]
+        emit(x, y[2], -y[1], y[0], s + NORM[:L][ok] + y[k] * y[k])
 
-    # a = b = c = 0: any primitive (d, e, f), first nonzero positive
-    for d in range(0, R + 1):
+    # x = 0: any primitive (d, e, f) with its first nonzero entry positive
+    for d in range(R + 1):
         L = int(np.searchsorted(NORM, nmax - d * d, side="right"))
-        if L == 0:
-            continue
-        E, F, NEF = P0[:L], Q0[:L], NORM[:L]
-        if d == 0:
-            head = (E > 0) | ((E == 0) & (F > 0))
-            E, F, NEF = E[head], F[head], NEF[head]
-        nv = d * d + NEF
-        g = gcd_rows(d, (E, F))
-        prim = g == 1
-        E, F, nv = E[prim], F[prim], nv[prim]
-        if not len(E):
-            continue
-        rows = np.zeros((len(E), 6), dtype=np.int64)
-        rows[:, 3] = d
-        rows[:, 4] = E
-        rows[:, 5] = F
-        emit(nv, rows)
+        E, F = P[:L], Q[:L]
+        head = (d > 0) | (E > 0) | ((E == 0) & (F > 0))
+        E, F = E[head], F[head]
+        emit((0, 0, 0), np.full(len(E), d, dtype=np.int64), E, F,
+             d * d + NORM[:L][head])
+    return np.concatenate(out_n), np.concatenate(out_rows)
 
-    if not out_n:
-        return {}
-    ns = np.concatenate(out_n)
-    rows = np.concatenate(out_rows)
-    order = np.lexsort((rows[:, 5], rows[:, 4], rows[:, 3],
-                        rows[:, 2], rows[:, 1], rows[:, 0], ns))
-    ns, rows = ns[order], rows[order]
-    table: dict[int, np.ndarray] = {}
-    bounds = np.flatnonzero(np.diff(ns)) + 1
-    for chunk_n, chunk in zip(np.split(ns, bounds), np.split(rows, bounds)):
-        table[int(chunk_n[0])] = chunk
-    return table
+
+_plucker_table = NormTable(_bulk_enumerate, 6)
 
 
 def warm_cache(nmax: int) -> None:
     """Ensure the solution table covers every norm up to nmax."""
-    global _plucker_cache, _plucker_cache_nmax
-    if nmax <= _plucker_cache_nmax:
-        return
-    with _cache_lock:
-        if nmax <= _plucker_cache_nmax:
-            return
-        target = max(nmax, 2 * _plucker_cache_nmax, 64)
-        table = _bulk_enumerate(target)
-        _plucker_cache = table
-        _plucker_cache_nmax = target
+    _plucker_table.warm(nmax)
 
 
 def plucker_arrays(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("norm must be positive")
     warm_cache(n)
-    return _plucker_cache.get(n, _EMPTY)
+    return _plucker_table.get(n)
 
 
 def plucker_vectors(n: int) -> list[PluckerVector]:

@@ -8,10 +8,9 @@ arithmetic and `r24_oracle` recounts by two independent enumerations
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -123,14 +122,7 @@ def is_admissible_disc(d: int) -> bool:
 # sums of three squares
 
 
-_sphere_lock = threading.Lock()
-_sphere_cache: dict[int, np.ndarray] = {}
-_sphere_nmax = -1
-
-_EMPTY3 = np.empty((0, 3), dtype=np.int64)
-
-
-def _bulk_spheres(nmax: int) -> dict[int, np.ndarray]:
+def _bulk_spheres(nmax: int) -> tuple[np.ndarray, np.ndarray]:
     R = isqrt(nmax)
     rng = np.arange(-R, R + 1, dtype=np.int64)
     X, Y, Z = np.meshgrid(rng, rng, rng, indexing="ij")
@@ -138,26 +130,14 @@ def _bulk_spheres(nmax: int) -> dict[int, np.ndarray]:
     N = X * X + Y * Y + Z * Z
     keep = (N >= 1) & (N <= nmax)
     X, Y, Z, N = X[keep], Y[keep], Z[keep], N[keep]
-    order = np.lexsort((Z, Y, X, N))
-    X, Y, Z, N = X[order], Y[order], Z[order], N[order]
-    pts = np.stack([X, Y, Z], axis=1)
-    table: dict[int, np.ndarray] = {}
-    bounds = np.flatnonzero(np.diff(N)) + 1
-    for chunk_n, chunk in zip(np.split(N, bounds), np.split(pts, bounds)):
-        table[int(chunk_n[0])] = chunk
-    return table
+    return N, np.stack([X, Y, Z], axis=1)
+
+
+_sphere_table = lattice.NormTable(_bulk_spheres, 3)
 
 
 def warm_sphere_cache(nmax: int) -> None:
-    global _sphere_cache, _sphere_nmax
-    if nmax <= _sphere_nmax:
-        return
-    with _sphere_lock:
-        if nmax <= _sphere_nmax:
-            return
-        target = max(nmax, 2 * _sphere_nmax, 64)
-        _sphere_cache = _bulk_spheres(target)
-        _sphere_nmax = target
+    _sphere_table.warm(nmax)
 
 
 def sphere_points(n: int) -> np.ndarray:
@@ -165,7 +145,7 @@ def sphere_points(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("norm must be positive")
     warm_sphere_cache(n)
-    return _sphere_cache.get(n, _EMPTY3)
+    return _sphere_table.get(n)
 
 
 def r3(n: int) -> int:

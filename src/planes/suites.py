@@ -175,7 +175,13 @@ def check_comp_ort(nmax: int = 150) -> dict:
         for plane, comp in _with_complements(n, failures):
             pair = klein.klein_map(plane)
             for which, a in ((1, pair.a1), (2, pair.a2)):
-                gens = klein.mu_products(plane, comp, which)
+                try:
+                    gens = klein.mu_products(plane, comp, which)
+                except ArithmeticError as exc:
+                    failures.append({"n": n, "which": which,
+                                     "plucker": plane.plucker.coords,
+                                     "why": str(exc)})
+                    continue
                 img = lattice.hnf_rows([g for row in gens for g in row])
                 expected = klein.orthogonal_lattice_z3(a.vec3())
                 if img != expected:

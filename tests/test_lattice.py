@@ -4,14 +4,17 @@ The slow 6-fold loop below is the ground-truth oracle for small norms;
 the production enumerator must reproduce it exactly.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planes import lattice, repnum
 from planes.lattice import (
     Plane,
     PluckerVector,
@@ -205,3 +208,27 @@ def test_integer_kernel_is_orthogonal_and_saturated(u, v):
 
 def test_saturation_index_example():
     assert saturation_index([[2, 0, 0, 0], [0, 1, 0, 0]]) == 2
+
+
+# sha256 of the rows of norms 1..256, concatenated as int64 in C order,
+# recorded from the enumerators that solved each leading case separately
+FROZEN_TABLES = {
+    "plucker": (6, 395_114,
+                "d8d4cdf53ba5afc3f3fa9ff3f3ee10f22fbd03240336f6347ce58e692d6247f5"),
+    "sphere": (3, 17_076,
+               "ddd791767495aded39d3c97a32f07e69159c5f2fdf31546de7752545889092da"),
+}
+
+
+@pytest.mark.parametrize("ceiling", [256, 300])
+@pytest.mark.parametrize("name", sorted(FROZEN_TABLES))
+def test_tables_are_frozen(name, ceiling):
+    build = {"plucker": lattice._bulk_enumerate,
+             "sphere": repnum._bulk_spheres}[name]
+    width, count, digest = FROZEN_TABLES[name]
+    table = lattice.NormTable(build, width)
+    table.warm(ceiling)
+    assert table.nmax == ceiling
+    rows = np.concatenate([table.get(n) for n in range(1, 257)])
+    assert rows.dtype == np.int64 and rows.shape == (count, width)
+    assert hashlib.sha256(np.ascontiguousarray(rows).tobytes()).hexdigest() == digest

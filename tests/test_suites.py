@@ -71,3 +71,8 @@ def test_orth_reports_a_wrong_shuffle(monkeypatch):
     assert report["detail"]["failures"]
     # the complement lookup of pair-genus misses and says so
     assert suites.check_pair_genus(nmax=5)["status"] == "fail"
+    # comp-ort's products with a non-orthogonal "complement" have a trace
+    report = suites.check_comp_ort(nmax=5)
+    assert report["status"] == "fail"
+    whys = {f.get("why") for f in report["detail"]["failures"]}
+    assert "product is not traceless" in whys
