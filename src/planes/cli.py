@@ -15,11 +15,9 @@ import functools
 import inspect
 import io
 import json
-import os
 import sys
 
-from . import lattice, mds, qform, repnum, suites
-from .klein import klein_map
+from . import klein, lattice, mds, qform, repnum, suites
 from .repnum import OracleMismatchError
 
 _PLUCKER_COLS = ("p12", "p13", "p14", "p23", "p24", "p34")
@@ -55,19 +53,6 @@ def _add_bound(parser, name: str, like, **kwargs) -> None:
     kind = _positive if type(like) is int else type(like)
     parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
                         **kwargs)
-
-
-def _disc_bound_from_env() -> int | None:
-    raw = os.environ.get("PLANES_MAX_DISC")
-    if raw is None:
-        return None
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise ValueError(f"PLANES_MAX_DISC must be an integer, got {raw!r}")
-    if bound < 1:
-        raise ValueError("PLANES_MAX_DISC must be positive")
-    return bound
 
 
 @functools.cache
@@ -161,12 +146,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_klein(args: argparse.Namespace) -> tuple[dict, int]:
     d = _positive_disc(args)
-    rows = []
-    for plane in lattice.enumerate_planes(d):
-        pair = klein_map(plane)
-        rows.append({"plucker": list(plane.plucker.coords),
-                     "a1": list(pair.a1.vec3()),
-                     "a2": list(pair.a2.vec3())})
+    plucker = lattice.plucker_arrays(d)
+    rows = [{"plucker": p, "a1": a1, "a2": a2}
+            for p, (a1, a2) in zip(plucker.tolist(),
+                                   klein.klein_pairs(plucker).tolist())]
     payload = {"d": d, "count": len(rows), "pairs": rows}
     return payload, 0
 
@@ -184,18 +167,6 @@ def _cmd_series(args: argparse.Namespace) -> tuple[dict, int]:
     return payload, 0 if identity["status"] == "pass" else 1
 
 
-def _suite_kwargs(name: str, given: dict) -> dict:
-    """The given bounds that suite `name` names, plus PLANES_MAX_DISC as
-    the r24 ceiling when --dmax is absent."""
-    bounds = _suite_bounds()[name]
-    kwargs = {k: v for k, v in given.items() if k in bounds}
-    if name == "r24" and "dmax" not in kwargs:
-        env = _disc_bound_from_env()
-        if env is not None:
-            kwargs["dmax"] = env
-    return kwargs
-
-
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     names = list(suites.SUITES) if args.suite == "all" else [args.suite]
     given = {k: v for k, v in vars(args).items()
@@ -204,8 +175,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         if not any(key in _suite_bounds()[name] for name in names):
             raise ValueError(f"--{key.replace('_', '-')} is not a bound of "
                              f"suite {args.suite}")
-    kwargs = [_suite_kwargs(name, given) for name in names]
-    reports = [suites.run_suite(name, **kw) for name, kw in zip(names, kwargs)]
+    reports = [suites.run_suite(name, **{k: v for k, v in given.items()
+                                         if k in _suite_bounds()[name]})
+               for name in names]
     ok = all(r["status"] == "pass" for r in reports)
     if args.suite != "all":
         return reports[0], 0 if ok else 1

@@ -70,6 +70,24 @@ def klein_map(plane: Plane) -> KleinPair:
     return KleinPair.of(a1, a2)
 
 
+def _linear_pairs(rows) -> np.ndarray:
+    """`_raw_pair` of any basis of each Plucker row (a, ..., f), which is
+    linear in the row: a1 = -(a+f, b-e, c+d) and a2 = -(a-f, b+e, c-d).
+    Shape (N, 2, 3)."""
+    a, b, c, d, e, f = np.asarray(rows, dtype=np.int64).reshape(-1, 6).T
+    return -np.stack([np.stack([a + f, b - e, c + d], axis=-1),
+                      np.stack([a - f, b + e, c - d], axis=-1)], axis=1)
+
+
+def klein_pairs(rows) -> np.ndarray:
+    """`klein_map` of the plane of each Plucker row, as an (N, 2, 3) array
+    of (a1, a2), with the joint sign of `KleinPair.of`."""
+    pairs = _linear_pairs(rows)
+    a1 = pairs[:, 0]
+    lead = a1[np.arange(len(a1)), (a1 != 0).argmax(axis=1)]
+    return np.where((lead < 0)[:, None, None], -pairs, pairs)
+
+
 def _odd_part(n: int) -> int:
     while n % 2 == 0:
         n //= 2

@@ -25,7 +25,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 
@@ -154,10 +153,6 @@ class PluckerVector:
     e: int
     f: int
 
-    @classmethod
-    def from_coords(cls, coords) -> "PluckerVector":
-        return cls(*(int(x) for x in coords))
-
     @property
     def coords(self) -> tuple[int, int, int, int, int, int]:
         return (self.a, self.b, self.c, self.d, self.e, self.f)
@@ -212,6 +207,24 @@ def plucker_of_basis(u, v) -> PluckerVector:
     if not any(coords):
         raise ValueError("degenerate basis")
     return PluckerVector(*coords)
+
+
+def skew_matrices(rows) -> np.ndarray:
+    """The 4x4 skew matrix S = u v^T - v u^T of each Plucker row, whose
+    entry (i, j) with i < j is the minor of columns i, j.  Shape (N, 4, 4).
+
+    For p = u ^ v and q both nonzero, S(p) S(q) = 0 iff q is a multiple of
+    the Plucker vector of the plane orthogonal to u and v.  The product is
+    v (S(q) u)^T - u (S(q) v)^T, so it vanishes iff S(q) kills u and v; a
+    nonzero skew matrix with a 2-dimensional kernel has rank 2, so q = w ^ z,
+    and S(q) x = w (z . x) - z (w . x) vanishes iff x is orthogonal to w, z.
+    """
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 6)
+    i, j = np.array(_PAIRS).T
+    S = np.zeros((len(rows), 4, 4), dtype=np.int64)
+    S[:, i, j] = rows
+    S[:, j, i] = -rows
+    return S
 
 
 def orth_complement(p: PluckerVector) -> PluckerVector:
@@ -435,19 +448,14 @@ def plucker_arrays(n: int) -> np.ndarray:
     return _plucker_table.get(n)
 
 
-def plucker_vectors(n: int) -> list[PluckerVector]:
-    """All sign-normalized primitive decomposable vectors of norm n."""
-    return [PluckerVector(*map(int, row)) for row in plucker_arrays(n)]
-
-
 def plane_count(n: int) -> int:
     return len(plucker_arrays(n))
 
 
-@lru_cache(maxsize=None)
 def enumerate_planes(n: int) -> tuple[Plane, ...]:
     """All planes of discriminant -4n, reconstructed with canonical bases."""
-    return tuple(Plane.from_plucker(p) for p in plucker_vectors(n))
+    return tuple(Plane.from_plucker(PluckerVector(*p))
+                 for p in plucker_arrays(n).tolist())
 
 
 # ---------------------------------------------------------------------------

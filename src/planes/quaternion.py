@@ -83,10 +83,6 @@ class TracelessQuaternion:
             raise ValueError("quaternion has nonzero trace")
         return cls(q.x1, q.x2, q.x3)
 
-    @classmethod
-    def from_vec3(cls, v) -> "TracelessQuaternion":
-        return cls(int(v[0]), int(v[1]), int(v[2]))
-
     def vec3(self) -> tuple[int, int, int]:
         return (self.x1, self.x2, self.x3)
 

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
+
 from planes import klein, lattice, mds, qform, repnum
-from planes.lattice import enumerate_planes, integer_kernel, orth_complement, plucker_of_basis
+from planes.lattice import PluckerVector, enumerate_planes, orth_complement
 
 
 def _report(name: str, failures: list, detail: dict) -> dict:
@@ -47,39 +49,34 @@ def check_klein(nmax: int = 200) -> dict:
     repnum.warm_sphere_cache(nmax)
     failures = []
     for n in range(1, nmax + 1):
-        planes = enumerate_planes(n)
+        rows = lattice.plucker_arrays(n)
+        images = {(tuple(a1), tuple(a2))
+                  for a1, a2 in klein.klein_pairs(rows).tolist()}
         pairs = set(klein.pairs_for_norm(n))
-        images = set()
-        for plane in planes:
-            kp = klein.klein_map(plane)
-            t1, t2 = kp.a1.vec3(), kp.a2.vec3()
-            if any((a - b) % 2 for a, b in zip(t1, t2)):
-                failures.append({"n": n, "pair": [t1, t2], "why": "parity"})
-            elif not klein.pair_primitive(t1, t2):
-                failures.append({"n": n, "pair": [t1, t2], "why": "primitivity"})
-            images.add((t1, t2))
-        if len(images) != len(planes) or images != pairs:
-            failures.append({"n": n, "planes": len(planes),
+        if len(images) != len(rows) or images != pairs:
+            failures.append({"n": n, "planes": len(rows),
                              "distinct_images": len(images), "pairs": len(pairs)})
     return _report("klein", failures[:20], {"nmax": nmax})
 
 
 def check_orth(nmax: int = 200) -> dict:
-    """Coordinate-shuffle complement against the actual integer kernel."""
+    """The coordinate shuffle q of each plane p is the Plucker vector of its
+    orthogonal complement: S(p) S(q) = 0 with q primitive and
+    sign-normalized names exactly that plane (`lattice.skew_matrices`),
+    and its disc -4|q|^2 equals the plane's."""
     failures = []
     for n in range(1, nmax + 1):
-        for plane in enumerate_planes(n):
-            u, v = plane.basis
-            ker = integer_kernel([list(u), list(v)])
-            direct = plucker_of_basis(ker[0], ker[1]).sign_normalized()
-            formula = orth_complement(plane.plucker)
-            if direct.coords != formula.coords:
-                failures.append({"n": n, "plucker": plane.plucker.coords,
-                                 "kernel": direct.coords,
-                                 "shuffle": formula.coords})
-            if -4 * direct.norm() != plane.disc:
-                failures.append({"n": n, "disc": plane.disc,
-                                 "complement_disc": -4 * direct.norm()})
+        rows = lattice.plucker_arrays(n)
+        shuffles = np.array([orth_complement(PluckerVector(*p)).coords
+                             for p in rows.tolist()],
+                            dtype=np.int64).reshape(-1, 6)
+        lead = shuffles[np.arange(len(shuffles)), (shuffles != 0).argmax(axis=1)]
+        skew_product = lattice.skew_matrices(rows) @ lattice.skew_matrices(shuffles)
+        bad = (skew_product.any(axis=(1, 2)) | (lead < 0)
+               | (np.gcd.reduce(shuffles, axis=1) != 1)
+               | ((shuffles * shuffles).sum(axis=1) != n))
+        failures += [{"n": n, "plucker": tuple(p), "shuffle": tuple(q)}
+                     for p, q in zip(rows[bad].tolist(), shuffles[bad].tolist())]
     return _report("orth", failures[:20], {"nmax": nmax})
 
 

@@ -156,28 +156,6 @@ def test_verify_text_format(capsys):
     assert out == "p-local: pass\n"
 
 
-def test_env_bound_overrides_default(capsys, monkeypatch):
-    monkeypatch.setenv("PLANES_MAX_DISC", "40")
-    code, out, _ = run(capsys, "verify", "r24")
-    assert code == 0
-    assert json.loads(out)["detail"]["dmax"] == 40
-
-
-def test_env_bound_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv("PLANES_MAX_DISC", "soon")
-    code, _, err = run(capsys, "verify", "r24")
-    assert code == 2 and "PLANES_MAX_DISC" in err
-    monkeypatch.setenv("PLANES_MAX_DISC", "0")
-    assert run(capsys, "verify", "r24")[0] == 2
-
-
-def test_env_bound_ignored_for_explicit_dmax(capsys, monkeypatch):
-    monkeypatch.setenv("PLANES_MAX_DISC", "soon")
-    code, out, _ = run(capsys, "verify", "r24", "--dmax", "30")
-    assert code == 0
-    assert json.loads(out)["detail"]["dmax"] == 30
-
-
 def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "enumerate", "--disc", "45")
     _, second, _ = run(capsys, "enumerate", "--disc", "45")
@@ -225,7 +203,6 @@ def test_flag_the_suite_does_not_take_is_usage_error(capsys, argv, flag):
 def suite_calls(monkeypatch):
     """Every suite replaced by a passing stub of the same signature; maps
     each suite to the keyword arguments its stub received."""
-    monkeypatch.delenv("PLANES_MAX_DISC", raising=False)
     calls = {}
     for name, fn in list(suites.SUITES.items()):
         @functools.wraps(fn)
@@ -245,18 +222,6 @@ DMAX_SUITES = {"r24", "class-number", "l-value", "global-identity"}
 def test_verify_all_passes_no_bounds(capsys, suite_calls):
     assert run(capsys, "verify", "all")[0] == 0
     assert suite_calls == {name: {} for name in suites.SUITES}
-
-
-def test_verify_all_env_bound_reaches_r24_alone(capsys, suite_calls,
-                                                monkeypatch):
-    monkeypatch.setenv("PLANES_MAX_DISC", "40")
-    assert run(capsys, "verify", "all")[0] == 0
-    expected = {name: {} for name in suites.SUITES}
-    expected["r24"] = {"dmax": 40}
-    assert suite_calls == expected
-    # an explicit --dmax wins over the environment
-    assert run(capsys, "verify", "all", "--dmax", "5")[0] == 0
-    assert suite_calls["r24"] == {"dmax": 5}
 
 
 @pytest.mark.parametrize("flag,takers", [("nmax", NMAX_SUITES),

@@ -50,8 +50,7 @@ def _run(argv) -> tuple[int, bytes]:
 
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
-def test_golden_output(name, argv, code, monkeypatch):
-    monkeypatch.delenv("PLANES_MAX_DISC", raising=False)
+def test_golden_output(name, argv, code):
     got_code, got = _run(argv)
     assert got_code == code
     assert got == (GOLDEN / f"{name}.out").read_bytes()

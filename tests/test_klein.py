@@ -1,7 +1,12 @@
 """Klein correspondence, Gauss map, and pair realizability."""
 
-import pytest
+from itertools import product
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from planes import klein
 from planes.klein import (
     CMQuadruple,
     KleinPair,
@@ -9,6 +14,7 @@ from planes.klein import (
     gauss_map,
     genus_context,
     klein_map,
+    klein_pairs,
     mu_image,
     orthogonal_lattice_z3,
     pair_count,
@@ -16,7 +22,7 @@ from planes.klein import (
     pairs_for_norm,
     realizable_pair,
 )
-from planes.lattice import Plane, enumerate_planes
+from planes.lattice import Plane, enumerate_planes, plucker_of_basis
 from planes.qform import FormClass, QuadForm, class_group
 from planes.quaternion import Quaternion, TracelessQuaternion
 
@@ -41,6 +47,38 @@ def test_klein_pair_sign_normalization():
     assert pair.a2 == TracelessQuaternion(0, -1, 0)
     with pytest.raises(ValueError):
         KleinPair.of(TracelessQuaternion(0, 0, 0), I_HAT)
+
+
+def test_linear_map_is_the_raw_pair():
+    """Exact proof that `_linear_pairs` of the minors of (u, v) equals
+    `_raw_pair(u, v)`: both sides are bilinear in (u, v), so agreeing on
+    every pair of unit vectors (e_i, e_j), degenerate ones included, makes
+    them agree on every pair of vectors."""
+    units = [tuple(int(i == k) for k in range(4)) for i in range(4)]
+    for u, v in product(units, repeat=2):
+        minors = [u[i] * v[j] - u[j] * v[i]
+                  for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+        raw = klein._raw_pair(Quaternion.from_vec4(u), Quaternion.from_vec4(v))
+        assert klein._linear_pairs(minors).tolist() == [
+            [list(t.vec3()) for t in raw]]
+
+
+vec4 = st.tuples(*(st.integers(min_value=-9, max_value=9) for _ in range(4)))
+
+
+@given(vec4, vec4)
+@settings(max_examples=200)
+def test_klein_pairs_match_klein_map(u, v):
+    """The array map on the Plucker row against the quaternion definition
+    on the plane, signs normalized on both sides."""
+    try:
+        p = plucker_of_basis(u, v)
+    except ValueError:  # u and v are dependent
+        assume(False)
+    assume(p.is_primitive)
+    pair = klein_map(Plane.from_basis(u, v))
+    assert klein_pairs([p.sign_normalized().coords]).tolist() == [
+        [list(pair.a1.vec3()), list(pair.a2.vec3())]]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 11, 17, 45])

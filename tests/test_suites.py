@@ -1,14 +1,22 @@
 """The per-plane suites: the comp-ort norm identity check against the grid
-it replaced, and failures reported rather than raised."""
+it replaced, the orth check against the kernel complement it replaced,
+and failures reported rather than raised."""
 
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from planes import lattice, suites
+from planes import klein, lattice, suites
+from planes.cli import cmd_dispatch
 from planes.klein import mu_products
-from planes.lattice import PluckerVector, enumerate_planes
+from planes.lattice import (
+    PluckerVector,
+    enumerate_planes,
+    integer_kernel,
+    plucker_of_basis,
+)
 
 
 def _grid_ok(stack, gram_l, gram_w):
@@ -76,3 +84,38 @@ def test_orth_reports_a_wrong_shuffle(monkeypatch):
     assert report["status"] == "fail"
     whys = {f.get("why") for f in report["detail"]["failures"]}
     assert "product is not traceless" in whys
+
+
+def test_skew_product_singles_out_the_kernel_complement():
+    """For every plane of norm <= 30, exactly one plane q of the same norm
+    has S(p) S(q) = 0, and it is the complement spanned by the integer
+    kernel of the plane's basis, the check orth made before."""
+    for n in range(1, 31):
+        rows = lattice.plucker_arrays(n)
+        skew = lattice.skew_matrices(rows)
+        for plane, s in zip(enumerate_planes(n), skew):
+            hits = np.flatnonzero(~(s @ skew).any(axis=(1, 2)))
+            ker = integer_kernel([list(b) for b in plane.basis])
+            oracle = plucker_of_basis(*ker).sign_normalized()
+            assert rows[hits].tolist() == [list(oracle.coords)]
+
+
+def test_klein_reports_swapped_coordinates(monkeypatch):
+    linear = klein.klein_pairs
+    monkeypatch.setattr(klein, "klein_pairs",
+                        lambda rows: linear(rows[:, [0, 1, 2, 3, 5, 4]]))
+    report = suites.check_klein(nmax=10)
+    assert report["status"] == "fail"
+    assert report["detail"]["failures"]
+
+
+def test_klein_and_orth_build_no_plane(monkeypatch, capsys):
+    def refuse(cls, p):
+        raise RuntimeError(f"Plane built from {p}")
+
+    monkeypatch.setattr(lattice.Plane, "from_plucker", classmethod(refuse))
+    assert suites.check_klein(nmax=10)["status"] == "pass"
+    assert suites.check_orth(nmax=10)["status"] == "pass"
+    assert cmd_dispatch(["klein", "--disc", "3"]) == 0
+    golden = Path(__file__).with_name("golden") / "klein-json.out"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
