@@ -230,6 +230,20 @@ def mu_products(plane: Plane, comp: Plane, which: int):
     return tuple(tuple((p.x1, p.x2, p.x3) for p in row) for row in prods)
 
 
+def mu_product_arrays(bases, comps, which: int) -> np.ndarray:
+    """`mu_products` of each plane basis in bases (N, 2, 4) with the basis
+    of its complement in comps, as whole quaternions (N, 2, 2, 4) whose
+    entry 0 is u.w, half the trace: with s = 1 (which=1) or -1 (which=2),
+    u*conj(w) or conj(u)*w is u.w + s (w_0 u' - u_0 w') - u' x w'."""
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
+    u, w = bases[:, :, None], comps[:, None]
+    s = 1 if which == 1 else -1
+    vec = (s * (w[..., :1] * u[..., 1:] - u[..., :1] * w[..., 1:])
+           - np.cross(u[..., 1:], w[..., 1:]))
+    return np.concatenate([(u * w).sum(axis=-1, keepdims=True), vec], axis=-1)
+
+
 def mu_image(plane: Plane, which: int) -> tuple[tuple[int, ...], ...]:
     """Hermite basis of the lattice spanned by the quaternion products
     u*conj(w) (which=1) or conj(u)*w (which=2), u in the plane and w in

@@ -18,6 +18,13 @@ numpy scan and y_k follows by exact division; x = 0 leaves any primitive
 (d, e, f).  The solutions live in a `NormTable`, the grow-only,
 lock-guarded table split by norm that also holds the sphere points of
 `repnum`, so sweeps over a range of discriminants pay for a few passes.
+
+Hermite bases come in closed form (`plane_bases`).  The rows of
+S = u v^T - v u^T are S[k] = u_k v - v_k u, and span the plane when its
+Plucker vector is primitive.  For the Hermite basis, u has the first pivot
+i and v vanishes there, so S[i] = u_i v and v is S[i] over its gcd; with j
+the pivot of v, u = (u_j v - S[j]) / v_j, where u_j is the one value in
+[0, v_j) that makes u integral (v is primitive), found by trying each.
 """
 
 from __future__ import annotations
@@ -225,6 +232,35 @@ def skew_matrices(rows) -> np.ndarray:
     S[:, i, j] = rows
     S[:, j, i] = -rows
     return S
+
+
+# every term that `plane_bases` and the products on its bases compute for
+# norms up to n is below 32 n^2, so below 2^63 for n up to this bound
+NMAX_INT64 = 2 ** 29 - 1
+
+
+def plane_bases(rows) -> np.ndarray:
+    """`Plane.from_plucker(p).basis` of each sign-normalized primitive row
+    p, shape (N, 2, 4), in the closed form of the module docstring.  At
+    norm n, |v|^2 <= n and |u| < 2 sqrt(n), so every term is below 2n.
+    Raises ArithmeticError where the minors of (u, v) are not the row."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 6)
+    if (np.gcd.reduce(rows, axis=1) != 1).any():
+        raise ValueError("imprimitive Plucker vector")
+    S = skew_matrices(rows)
+    at = np.arange(len(S))
+    top = S[at, S.any(axis=2).argmax(axis=1)]
+    v = top // np.gcd.reduce(top, axis=1, keepdims=True)
+    pivot = (v != 0).argmax(axis=1)
+    Sj, vj = S[at, pivot], v[at, pivot, None]
+    uj = np.zeros_like(vj)
+    for t in range(1, int(vj.max(initial=1))):
+        uj[(t < vj) & ((t * v - Sj) % vj == 0).all(axis=1, keepdims=True)] = t
+    u = (uj * v - Sj) // vj
+    i, j = np.array(_PAIRS).T
+    if (u[:, i] * v[:, j] - u[:, j] * v[:, i] != rows).any():
+        raise ArithmeticError("basis reconstruction lost the minors")
+    return np.stack([u, v], axis=1)
 
 
 def orth_complement(p: PluckerVector) -> PluckerVector:
@@ -453,9 +489,10 @@ def plane_count(n: int) -> int:
 
 
 def enumerate_planes(n: int) -> tuple[Plane, ...]:
-    """All planes of discriminant -4n, reconstructed with canonical bases."""
-    return tuple(Plane.from_plucker(PluckerVector(*p))
-                 for p in plucker_arrays(n).tolist())
+    """All planes of discriminant -4n, with their Hermite bases."""
+    rows = plucker_arrays(n)
+    return tuple(Plane._assemble(u, v, PluckerVector(*p)) for p, (u, v)
+                 in zip(rows.tolist(), plane_bases(rows).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,10 @@ inputs.  The registry at the bottom is what the CLI dispatches on.
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from planes import klein, lattice, mds, qform, repnum
-from planes.lattice import PluckerVector, enumerate_planes, orth_complement
+from planes.lattice import PluckerVector, orth_complement
 
 
 def _report(name: str, failures: list, detail: dict) -> dict:
@@ -138,69 +136,106 @@ def check_gauss_genus(nmax: int = 200) -> dict:
     return _report("gauss-genus", failures, {"nmax": nmax})
 
 
-def _with_complements(n: int, failures: list):
-    """Each plane of norm n with its complement, looked up by the shuffled
-    Plucker vector among the planes of norm n; a miss is a failure."""
-    planes = enumerate_planes(n)
-    by_plucker = {plane.plucker: plane for plane in planes}
-    for plane in planes:
-        comp = by_plucker.get(orth_complement(plane.plucker))
-        if comp is None:
-            failures.append({"n": n, "plucker": plane.plucker.coords,
-                             "why": "complement not among the planes"})
-        else:
-            yield plane, comp
+def _complement_index(rows) -> np.ndarray:
+    """Index in rows, the planes of one norm, of each plane's complement,
+    looked up by its shuffled Plucker vector; -1 where it is not there."""
+    where = {p: k for k, p in enumerate(map(tuple, rows.tolist()))}
+    return np.array([where.get(orth_complement(PluckerVector(*p)).coords, -1)
+                     for p in rows.tolist()], dtype=np.intp)
 
 
-def _norm_identity_ok(gens, gram_l, gram_w) -> bool:
+def _refuse_past_int64(nmax: int) -> None:
+    if nmax > lattice.NMAX_INT64:
+        raise ValueError(f"nmax {nmax} is past the int64 bound {lattice.NMAX_INT64}")
+
+
+def _norm_identity_ok(gens, gram_l, gram_w) -> np.ndarray:
     """N(sum x_a y_b g_ab) = Q_L(x) Q_W(y) as polynomials in x and y,
-    compared on the symmetrised coefficients of each monomial."""
-    def dot(s, t):
-        return sum(i * j for i, j in zip(s, t))
+    compared on the symmetrised coefficients of each monomial, for each
+    table of products g (..., 2, 2, 3) and Gram matrices (..., 2, 2)."""
+    g, gl, gw = (np.asarray(x, dtype=np.int64) for x in (gens, gram_l, gram_w))
+    dots = np.einsum("...abk,...cdk->...abcd", g, g)
+    rhs = 2 * np.einsum("...ac,...bd->...abcd", gl, gw)
+    return (dots + dots.swapaxes(-3, -1) == rhs).all(axis=(-4, -3, -2, -1))
 
-    return all(dot(gens[a][b], gens[c][d]) + dot(gens[a][d], gens[c][b])
-               == 2 * gram_l[a][c] * gram_w[b][d]
-               for a, b, c, d in product((0, 1), repeat=4))
+
+def _spans_orthogonal(gens, a) -> np.ndarray:
+    """Whether the vectors gens (N, m, 3) span the lattice a^perp of Z^3
+    orthogonal to a (N, 3) != 0: each is orthogonal to a, and the gcd of
+    their cross products is |a / content(a)| in each coordinate.  A basis
+    of a^perp has cross product +-a / content(a), so for vectors in a^perp
+    that gcd is |a / content(a)| times their index, or 0 below rank 2."""
+    k, l = np.triu_indices(gens.shape[1], 1)
+    cross = np.gcd.reduce(np.cross(gens[:, k], gens[:, l]), axis=1)
+    primitive = np.abs(a) // np.gcd.reduce(a, axis=1, keepdims=True)
+    return (~np.einsum("nmk,nk->nm", gens, a).any(axis=1)
+            & (cross == primitive).all(axis=1))
 
 
 def check_comp_ort(nmax: int = 150) -> dict:
-    """Image lattices of the two multiplication maps, and the norm identity."""
+    """Image lattices of the two multiplication maps, and the norm identity,
+    in int64 on `lattice.plane_bases`: the products are below 4n, their
+    cross products and the identity's terms below 32 n^2 (NMAX_INT64)."""
+    _refuse_past_int64(nmax)
+    lattice.warm_cache(nmax)
     failures = []
     for n in range(5, nmax + 1, 4):
         if not repnum.is_squarefree(n):
             continue
-        for plane, comp in _with_complements(n, failures):
-            pair = klein.klein_map(plane)
-            for which, a in ((1, pair.a1), (2, pair.a2)):
-                try:
-                    gens = klein.mu_products(plane, comp, which)
-                except ArithmeticError as exc:
+        rows = lattice.plucker_arrays(n)
+        bases, comp = lattice.plane_bases(rows), _complement_index(rows)
+        gram = np.einsum("nak,nbk->nab", bases, bases)
+        pairs = klein.klein_pairs(rows)
+        maps = []  # per map: products, traced, spans a^perp, norm identity
+        for which in (1, 2):
+            prods = klein.mu_product_arrays(bases, bases[comp], which)
+            gens = prods[..., 1:]
+            maps.append((gens, prods[..., 0].any(axis=(1, 2)),
+                         _spans_orthogonal(gens.reshape(-1, 4, 3), pairs[:, which - 1]),
+                         _norm_identity_ok(gens, gram, gram[comp])))
+        flagged = (comp < 0) | np.any([t | ~i | ~m for _, t, i, m in maps], axis=0)
+        for k in np.flatnonzero(flagged).tolist():
+            plucker = tuple(rows[k].tolist())
+            if comp[k] < 0:
+                failures.append({"n": n, "plucker": plucker,
+                                 "why": "complement not among the planes"})
+                continue
+            for which, (gens, traced, image, identity) in enumerate(maps, 1):
+                record = {"n": n, "which": which, "plucker": plucker}
+                if traced[k]:
+                    failures.append(record | {"why": "product is not traceless"})
+                elif not image[k]:
                     failures.append({"n": n, "which": which,
-                                     "plucker": plane.plucker.coords,
-                                     "why": str(exc)})
-                    continue
-                img = lattice.hnf_rows([g for row in gens for g in row])
-                expected = klein.orthogonal_lattice_z3(a.vec3())
-                if img != expected:
-                    failures.append({"n": n, "which": which,
-                                     "image": img, "orthogonal": expected})
-                elif not _norm_identity_ok(gens, plane.gram, comp.gram):
-                    failures.append({"n": n, "which": which,
-                                     "plucker": plane.plucker.coords,
-                                     "why": "norm identity coefficients"})
+                                     "image": lattice.hnf_rows(gens[k].reshape(4, 3)),
+                                     "orthogonal": klein.orthogonal_lattice_z3(
+                                         pairs[k, which - 1])})
+                elif not identity[k]:
+                    failures.append(record | {"why": "norm identity coefficients"})
     return _report("comp-ort", failures[:20], {"nmax": nmax})
 
 
 def check_pair_genus(nmax: int = 150) -> dict:
-    """Observed (plane form, complement form) pairs equal the genus rule."""
+    """Observed (plane form, complement form) pairs equal the genus rule,
+    with forms read off `lattice.plane_bases` and each distinct one reduced
+    once; nmax may not pass NMAX_INT64."""
+    _refuse_past_int64(nmax)
+    lattice.warm_cache(nmax)
     failures = []
     for n in range(5, nmax + 1, 4):
         if not repnum.is_squarefree(n):
             continue
         group, partition, target = klein.genus_context(n)
-        observed = {(qform.FormClass.of(qform.QuadForm(*plane.binary_form())),
-                     qform.FormClass.of(qform.QuadForm(*comp.binary_form())))
-                    for plane, comp in _with_complements(n, failures)}
+        rows = lattice.plucker_arrays(n)
+        bases, comp = lattice.plane_bases(rows), _complement_index(rows)
+        failures += [{"n": n, "plucker": tuple(p),
+                      "why": "complement not among the planes"}
+                     for p in rows[comp < 0].tolist()]
+        g = np.einsum("nak,nbk->nab", bases, bases)
+        forms, form_of = np.unique(np.stack([g[:, 0, 0], 2 * g[:, 0, 1], g[:, 1, 1]], 1),
+                                   axis=0, return_inverse=True)
+        classes = [qform.FormClass.of(qform.QuadForm(*f)) for f in forms.tolist()]
+        pairs = np.unique(np.stack([form_of, form_of[comp]], axis=1)[comp >= 0], axis=0)
+        observed = {(classes[i], classes[j]) for i, j in pairs.tolist()}
         predicted = {
             (c1, c2)
             for c1 in group.classes for c2 in group.classes

@@ -232,3 +232,35 @@ def test_tables_are_frozen(name, ceiling):
     rows = np.concatenate([table.get(n) for n in range(1, 257)])
     assert rows.dtype == np.int64 and rows.shape == (count, width)
     assert hashlib.sha256(np.ascontiguousarray(rows).tobytes()).hexdigest() == digest
+
+
+def test_plane_bases_match_from_plucker():
+    """The closed-form bases equal the kernel-HNF bases on every plane of
+    norm <= 60."""
+    for n in range(1, 61):
+        rows = lattice.plucker_arrays(n)
+        oracle = [Plane.from_plucker(PluckerVector(*p)).basis for p in rows.tolist()]
+        assert [tuple(map(tuple, b)) for b in lattice.plane_bases(rows).tolist()] == oracle
+
+
+# sha256 of the bases of every plane of norm 1..200, in table order,
+# concatenated as int64 (N, 2, 4) in C order, recorded from
+# `Plane.from_plucker` (the kernel-HNF path)
+FROZEN_BASES = (242_954,
+                "ce44fbdfd9197a4efdc6bd80e51849982248b14df7d70cc7c7ceb8fc2b04cadb")
+
+
+def test_plane_bases_are_frozen():
+    count, digest = FROZEN_BASES
+    bases = np.concatenate([lattice.plane_bases(lattice.plucker_arrays(n))
+                            for n in range(1, 201)])
+    assert bases.dtype == np.int64 and bases.shape == (count, 2, 4)
+    assert hashlib.sha256(np.ascontiguousarray(bases).tobytes()).hexdigest() == digest
+
+
+def test_plane_bases_reject_rows_that_name_no_plane():
+    with pytest.raises(ValueError, match="imprimitive"):
+        lattice.plane_bases([[2, 0, 0, 0, 0, 0]])
+    with pytest.raises(ArithmeticError, match="lost the minors"):
+        lattice.plane_bases([[1, 0, 0, 0, 0, 1]])  # a*f - b*e + c*d = 1
+    assert lattice.plane_bases(np.empty((0, 6), dtype=np.int64)).shape == (0, 2, 4)

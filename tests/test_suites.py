@@ -7,13 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planes import klein, lattice, suites
 from planes.cli import cmd_dispatch
 from planes.klein import mu_products
 from planes.lattice import (
+    Plane,
     PluckerVector,
     enumerate_planes,
+    hnf_rows,
     integer_kernel,
     plucker_of_basis,
 )
@@ -113,9 +117,100 @@ def test_klein_and_orth_build_no_plane(monkeypatch, capsys):
     def refuse(cls, p):
         raise RuntimeError(f"Plane built from {p}")
 
+    def refuse_init(self, *args, **kwargs):
+        raise RuntimeError("Plane constructed")
+
     monkeypatch.setattr(lattice.Plane, "from_plucker", classmethod(refuse))
+    monkeypatch.setattr(lattice.Plane, "__init__", refuse_init)
     assert suites.check_klein(nmax=10)["status"] == "pass"
     assert suites.check_orth(nmax=10)["status"] == "pass"
+    assert suites.check_comp_ort(nmax=30)["status"] == "pass"
+    assert suites.check_pair_genus(nmax=30)["status"] == "pass"
     assert cmd_dispatch(["klein", "--disc", "3"]) == 0
     golden = Path(__file__).with_name("golden") / "klein-json.out"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("n", [5, 13, 17])
+def test_product_arrays_are_mu_products(n):
+    """The int64 products of comp-ort, on the closed-form bases and the
+    complements looked up by row, are `mu_products` of the planes rebuilt
+    by `Plane.from_plucker` and their complements."""
+    rows = lattice.plucker_arrays(n)
+    bases = lattice.plane_bases(rows)
+    comp = suites._complement_index(rows)
+    assert (comp >= 0).all()
+    planes = [Plane.from_plucker(PluckerVector(*p)) for p in rows.tolist()]
+    for which in (1, 2):
+        prods = klein.mu_product_arrays(bases, bases[comp], which)
+        assert not prods[..., 0].any()
+        assert [tuple(tuple(map(tuple, row)) for row in g)
+                for g in prods[..., 1:].tolist()] == [
+            mu_products(plane, plane.orthogonal_complement(), which)
+            for plane in planes]
+
+
+@st.composite
+def _spans_in_a_perp(draw):
+    """A nonzero a and four vectors of a^perp: any combinations of its
+    Hermite basis, ones whose span has index k > 1, ones of rank <= 1, and
+    ones with a vector moved off a^perp."""
+    a = draw(st.tuples(*[st.integers(-9, 9)] * 3).filter(any))
+    coef = st.integers(-3, 3)
+    rows = draw(st.lists(st.tuples(coef, coef), min_size=4, max_size=4))
+    kind = draw(st.sampled_from(["any", "index", "rank1", "off"]))
+    k = draw(st.integers(2, 4))
+    if kind == "index":
+        rows = [(k * x, y) for x, y in rows]
+    elif kind == "rank1":
+        rows = [(x, k * x) for x, _ in rows]
+    b1, b2 = klein.orthogonal_lattice_z3(a)
+    gens = [[x * s + y * t for s, t in zip(b1, b2)] for x, y in rows]
+    if kind == "off":
+        gens[0] = [g + c for g, c in zip(gens[0], a)]
+    return a, gens
+
+
+@given(_spans_in_a_perp())
+@settings(max_examples=400, deadline=None)
+def test_cross_product_criterion_is_the_hermite_check(case):
+    a, gens = case
+    criterion = suites._spans_orthogonal(np.array([gens]), np.array([a]))
+    assert criterion.tolist() == [hnf_rows(gens) == klein.orthogonal_lattice_z3(a)]
+
+
+def _rebased(monkeypatch, rebase):
+    exact = lattice.plane_bases
+
+    def patched(rows):
+        bases = exact(rows)
+        return np.stack(rebase(bases[:, 0], bases[:, 1]), axis=1)
+
+    monkeypatch.setattr(lattice, "plane_bases", patched)
+
+
+def test_comp_ort_and_pair_genus_reject_a_sublattice(monkeypatch):
+    _rebased(monkeypatch, lambda u, v: (u, 2 * v))
+    report = suites.check_comp_ort(nmax=30)
+    assert report["status"] == "fail"
+    assert all(f["image"] != f["orthogonal"] for f in report["detail"]["failures"])
+    assert suites.check_pair_genus(nmax=30)["status"] == "fail"
+
+
+def test_comp_ort_and_pair_genus_accept_another_basis(monkeypatch):
+    _rebased(monkeypatch, lambda u, v: (u + v, v))
+    assert suites.check_comp_ort(nmax=30)["status"] == "pass"
+    assert suites.check_pair_genus(nmax=30)["status"] == "pass"
+
+
+@pytest.mark.parametrize("name", ["comp-ort", "pair-genus"])
+def test_nmax_past_the_int64_bound_is_refused(monkeypatch, capsys, name):
+    def refuse(self, nmax):
+        raise RuntimeError(f"table built to {nmax}")
+
+    monkeypatch.setattr(lattice.NormTable, "warm", refuse)
+    past = lattice.NMAX_INT64 + 1
+    with pytest.raises(ValueError, match="int64 bound"):
+        suites.run_suite(name, nmax=past)
+    assert cmd_dispatch(["verify", name, "--nmax", str(past)]) == 2
+    assert "int64 bound" in capsys.readouterr().err
