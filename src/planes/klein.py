@@ -178,6 +178,50 @@ def gauss_map(v) -> frozenset:
     return gl2_class(_class_of_gram(g00, g01, g11))
 
 
+def _ext_gcd_arrays(x, y):
+    """Elementwise g = +-gcd(x, y) with g = alpha x + beta y."""
+    r0, r1 = x, y
+    s0, s1 = np.ones_like(x), np.zeros_like(x)
+    t0, t1 = np.zeros_like(x), np.ones_like(x)
+    while r1.any():
+        live = r1 != 0
+        q = r0 // np.where(live, r1, 1)
+        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - q * r1, r1)
+        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - q * s1, s1)
+        t0, t1 = np.where(live, t1, t0), np.where(live, t0 - q * t1, t1)
+    return r0, s0, t0
+
+
+def orthogonal_bases(points) -> np.ndarray:
+    """Basis (b1, b2) of the lattice orthogonal to each primitive
+    v = (x, y, z) in points (N, 3), as an (N, 2, 3) array, in closed form:
+    with g = +-gcd(x, y) = alpha x + beta y, b1 = (y/g, -x/g, 0) and
+    b2 = (alpha z, beta z, -g) lie in v^perp and b1 x b2 = v, so they span
+    it; v = (0, 0, +-1) takes e1, e2.  Spans the lattice of
+    `orthogonal_lattice_z3` without a Hermite reduction."""
+    v = np.asarray(points, dtype=np.int64).reshape(-1, 3)
+    if (np.gcd.reduce(v, axis=1) != 1).any():
+        raise ValueError("points must be primitive")
+    x, y, z = v.T
+    g, alpha, beta = _ext_gcd_arrays(x, y)
+    axis = g == 0
+    gs = np.where(axis, 1, g)
+    bases = np.stack([np.stack([y // gs, -x // gs, np.zeros_like(x)], axis=1),
+                      np.stack([alpha * z, beta * z, -g], axis=1)], axis=1)
+    bases[axis] = ((1, 0, 0), (0, 1, 0))
+    return bases
+
+
+def orthogonal_classes(points) -> list[FormClass]:
+    """Sorted distinct proper classes of the forms on v^perp, v over the
+    primitive points: the Gram forms of `orthogonal_bases`, each distinct
+    one reduced once.  Each class stands for its `gauss_map` GL2 class."""
+    b = orthogonal_bases(points)
+    g = np.einsum("nak,nbk->nab", b, b)
+    grams = np.unique(np.stack([g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]], axis=1), axis=0)
+    return sorted({_class_of_gram(*f) for f in grams.tolist()})
+
+
 def _plane_class(plane: Plane) -> FormClass:
     a, b, c = plane.binary_form()
     return FormClass.of(QuadForm(a, b, c))
@@ -270,16 +314,13 @@ def genus_context(n: int):
         raise ValueError("theorem hypotheses not met: need squarefree n = 1, 2 mod 4")
     group = class_group(-4 * n)
     partition = genus_partition(group)
-    target = None
-    for v in repnum.sphere_points(n):
-        cls = next(iter(gauss_map(tuple(int(c) for c in v))))
-        g = partition.genus_of_class(cls)
-        if target is None:
-            target = g
-        elif g != target:
-            raise ArithmeticError(f"image genus is not constant at n={n}")
-    if target is None:
+    classes = orthogonal_classes(repnum.sphere_points(n))
+    if not classes:
         raise ValueError(f"{n} is not a sum of three squares")
+    genera = {partition.genus_of_class(c) for c in classes}
+    if len(genera) != 1:
+        raise ArithmeticError(f"image genus is not constant at n={n}")
+    target, = genera
     return group, partition, target
 
 

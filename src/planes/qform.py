@@ -10,6 +10,7 @@ primitive forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, isqrt
 
 from planes.lattice import _ext_gcd
@@ -179,11 +180,14 @@ def gl2_class(c: FormClass) -> frozenset[FormClass]:
 
 @dataclass(frozen=True)
 class ClassGroup:
-    """Form class group of a negative discriminant, with composition table."""
+    """Form class group of a negative discriminant.
+
+    Products are composed on demand.  The composition `table`, h^2
+    compositions, is built on first use only; `squares` takes h
+    compositions and a genus partition h more."""
 
     disc: int
     classes: tuple[FormClass, ...]
-    table: tuple[tuple[int, ...], ...]
     identity: int
     index: dict[FormClass, int] = field(compare=False, repr=False)
 
@@ -197,12 +201,24 @@ class ClassGroup:
         except KeyError:
             raise ValueError(f"{c} is not a primitive class of disc {self.disc}")
 
+    def product(self, i: int, j: int) -> int:
+        return self.index[compose(self.classes[i], self.classes[j])]
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(self.product(i, j) for j in range(self.order))
+                     for i in range(self.order))
+
     def inverse(self, i: int) -> int:
         row = self.table[i]
         return row.index(self.identity)
 
+    @cached_property
+    def _squares(self) -> tuple[int, ...]:
+        return tuple(sorted({self.product(i, i) for i in range(self.order)}))
+
     def squares(self) -> tuple[int, ...]:
-        return tuple(sorted({self.table[i][i] for i in range(self.order)}))
+        return self._squares
 
     def to_json_dict(self) -> dict:
         return {
@@ -214,7 +230,7 @@ class ClassGroup:
 
 
 def class_group(disc: int) -> ClassGroup:
-    """Enumerate reduced primitive forms of the discriminant and compose them."""
+    """Enumerate the reduced primitive forms of the discriminant."""
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError("not a negative discriminant")
     forms = []
@@ -236,10 +252,9 @@ def class_group(disc: int) -> ClassGroup:
                 forms.append(FormClass(q))
     forms.sort()
     index = {c: i for i, c in enumerate(forms)}
-    table = tuple(tuple(index[compose(ci, cj)] for cj in forms) for ci in forms)
     ident = index[FormClass.of(principal_form(disc))]
-    return ClassGroup(disc=disc, classes=tuple(forms), table=table,
-                      identity=ident, index=index)
+    return ClassGroup(disc=disc, classes=tuple(forms), identity=ident,
+                      index=index)
 
 
 @dataclass(frozen=True)
@@ -269,13 +284,15 @@ class GenusPartition:
 
 
 def genus_partition(group: ClassGroup) -> GenusPartition:
-    sq = set(group.squares())
+    """Cosets of the squares, composed from one representative each: h
+    compositions, 2h with the squares themselves."""
+    sq = group.squares()
     seen: set[int] = set()
     cosets = []
     for i in range(group.order):
         if i in seen:
             continue
-        coset = tuple(sorted(group.table[i][j] for j in sq))
+        coset = tuple(sorted(group.product(i, j) for j in sq))
         seen.update(coset)
         cosets.append(coset)
     cosets.sort(key=lambda t: t[0])

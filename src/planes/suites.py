@@ -44,6 +44,7 @@ def check_r24(dmax: int = 500) -> dict:
 
 def check_klein(nmax: int = 200) -> dict:
     """Plane-to-pair map is a bijection onto the characterized pair set."""
+    lattice.warm_cache(nmax)
     repnum.warm_sphere_cache(nmax)
     failures = []
     for n in range(1, nmax + 1):
@@ -62,6 +63,7 @@ def check_orth(nmax: int = 200) -> dict:
     orthogonal complement: S(p) S(q) = 0 with q primitive and
     sign-normalized names exactly that plane (`lattice.skew_matrices`),
     and its disc -4|q|^2 equals the plane's."""
+    lattice.warm_cache(nmax)
     failures = []
     for n in range(1, nmax + 1):
         rows = lattice.plucker_arrays(n)
@@ -121,16 +123,19 @@ def check_l_value(dmax: int = 200) -> dict:
 
 
 def check_gauss_genus(nmax: int = 200) -> dict:
-    """All forms orthogonal to norm-n vectors land in a single genus."""
+    """All forms orthogonal to norm-n vectors land in a single genus, with
+    the forms read off `klein.orthogonal_classes`."""
     failures = []
     for n in range(1, nmax + 1):
         if n % 4 not in (1, 2) or not repnum.is_squarefree(n):
             continue
-        partition = qform.genus_partition(qform.class_group(-4 * n))
-        genera = set()
-        for v in repnum.sphere_points(n):
-            cls = next(iter(klein.gauss_map(tuple(int(c) for c in v))))
-            genera.add(partition.genus_of_class(cls))
+        group = qform.class_group(-4 * n)
+        partition = qform.genus_partition(group)
+        classes = klein.orthogonal_classes(repnum.sphere_points(n))
+        failures += [{"n": n, "form": c.triple(),
+                      "why": f"not a class of disc {-4 * n}"}
+                     for c in classes if c not in group.index]
+        genera = {partition.genus_of_class(c) for c in classes if c in group.index}
         if len(genera) != 1:
             failures.append({"n": n, "distinct_genera": len(genera)})
     return _report("gauss-genus", failures, {"nmax": nmax})

@@ -2,11 +2,12 @@
 
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from planes import klein
+from planes import klein, repnum
 from planes.klein import (
     CMQuadruple,
     KleinPair,
@@ -16,14 +17,16 @@ from planes.klein import (
     klein_map,
     klein_pairs,
     mu_image,
+    orthogonal_bases,
+    orthogonal_classes,
     orthogonal_lattice_z3,
     pair_count,
     pair_primitive,
     pairs_for_norm,
     realizable_pair,
 )
-from planes.lattice import Plane, enumerate_planes, plucker_of_basis
-from planes.qform import FormClass, QuadForm, class_group
+from planes.lattice import Plane, enumerate_planes, hnf_rows, plucker_of_basis
+from planes.qform import FormClass, QuadForm, class_group, gl2_class
 from planes.quaternion import Quaternion, TracelessQuaternion
 
 I_HAT = TracelessQuaternion(1, 0, 0)
@@ -117,6 +120,29 @@ def test_orthogonal_lattice_examples():
     assert orthogonal_lattice_z3((0, 1, 2)) == ((1, 0, 0), (0, 2, -1))
     with pytest.raises(ValueError):
         orthogonal_lattice_z3((0, 0, 0))
+
+
+def test_orthogonal_bases_span_the_kernel_lattice():
+    """The closed form spans the Hermite kernel lattice at every primitive
+    sphere point of norm <= 200, and its cross product is the point."""
+    pts = np.concatenate([repnum.sphere_points(n) for n in range(1, 201)])
+    pts = pts[np.gcd.reduce(pts, axis=1) == 1]
+    bases = orthogonal_bases(pts)
+    for v, (b1, b2) in zip(pts.tolist(), bases.tolist()):
+        assert hnf_rows([b1, b2]) == orthogonal_lattice_z3(v)
+    off_axis = pts[:, :2].any(axis=1)  # (0, 0, +-1) takes e1, e2
+    assert (np.cross(bases[:, 0], bases[:, 1])[off_axis] == pts[off_axis]).all()
+    with pytest.raises(ValueError):
+        orthogonal_bases([(1, 0, 0), (2, 0, 2)])
+    with pytest.raises(ValueError):
+        orthogonal_bases([(0, 0, 0)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 10, 21, 41, 42, 105])
+def test_orthogonal_classes_are_the_gauss_map(n):
+    pts = repnum.sphere_points(n)
+    assert ({gl2_class(c) for c in orthogonal_classes(pts)}
+            == {gauss_map(v) for v in pts.tolist()})
 
 
 def test_gauss_map_values():

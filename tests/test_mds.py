@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from planes import repnum
@@ -20,6 +21,7 @@ from planes.mds import (
     h_series,
     l_value_check,
     lhs_local,
+    local_identity_sides,
     odd_primes_upto,
     p_local,
     p_local_from_sum,
@@ -81,6 +83,33 @@ def test_series_times_denominator_recovers_numerator(eps):
     caps = {"y": 12}
     s = fn.series(caps)
     assert (s * fn.den_product()).truncate(caps) == fn.num.truncate(caps)
+
+
+def _to_sympy(sp, r: RationalFn):
+    p, y, x1, x2 = sp.symbols("p y x1 x2")
+
+    def poly(m: MultiPoly):
+        return sp.Add(*(sp.Rational(c.numerator, c.denominator)
+                        * p ** e[0] * y ** e[1] * x1 ** e[2] * x2 ** e[3]
+                        for e, c in m.terms.items()))
+
+    return poly(r.num) / sp.Mul(*(poly(f) for f in r.den))
+
+
+def test_rf_equal_agrees_with_sympy_cancel():
+    """Second oracle for cross-multiplication: sympy's cancel of the
+    difference, on both checks of each local-identity case and on one
+    perturbed numerator."""
+    sp = pytest.importorskip("sympy")
+    pairs = [(lhs_local(eps), closed_local(eps)) for eps in (1, -1, 0)]
+    pairs += [local_identity_sides(eps) for eps in (1, -1, 0)]
+    for r1, r2 in pairs:
+        assert rf_equal(r1, r2)
+        assert sp.cancel(_to_sympy(sp, r1) - _to_sympy(sp, r2)) == 0
+    lhs, rhs = local_identity_sides(-1)
+    bent = RationalFn(lhs.num + P * Y ** 3, lhs.den)
+    assert not rf_equal(bent, rhs)
+    assert sp.cancel(_to_sympy(sp, bent) - _to_sympy(sp, rhs)) != 0
 
 
 def test_rf_equal_detects_difference():
@@ -210,6 +239,20 @@ def test_l_value_check_small():
     assert report["status"] == "pass"
     assert report["detail"]["closed_form"] == pytest.approx(
         math.pi / math.sqrt(11))
+
+
+@pytest.mark.parametrize("d0", [11, 19, 131, 395])
+def test_l_value_chunked_sum_matches_one_shot(d0):
+    """The chunked head sum against the whole 10^6-term array at once."""
+    terms = 10 ** 6
+    chi = np.array([repnum.kronecker_symbol(-d0, a) for a in range(d0)],
+                   dtype=np.float64)
+    n = np.arange(1, terms + 1)
+    partial = np.cumsum(chi[(terms + 1 + np.arange(d0 - 1)) % d0])
+    one_shot = (float(np.sum(chi[n % d0] / n))
+                + float(partial.sum()) / d0 / (terms + 1))
+    chunked = l_value_check(d0, terms)["detail"]["character_sum"]
+    assert chunked == pytest.approx(one_shot, abs=1e-12)
 
 
 def test_l_value_check_rejects_out_of_scope():

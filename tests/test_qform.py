@@ -1,5 +1,7 @@
 """Binary quadratic forms: reduction, composition, genus structure."""
 
+import hashlib
+import json
 import random
 from math import gcd, isqrt
 
@@ -131,6 +133,21 @@ def _primitive_values(q: QuadForm, bound: int) -> set:
             if 0 < m <= bound:
                 vals.add(m)
     return vals
+
+
+def test_class_groups_are_frozen():
+    """sha256 over classes, table, identity, squares and genera of every
+    group of disc -4n, n <= 399, and -d0, d0 = 3 mod 8 up to 400; recorded
+    from the eagerly built h^2 table and the partition that read it, before
+    both moved to composing on demand."""
+    h = hashlib.sha256()
+    for disc in [-4 * n for n in range(1, 400)] + [-d for d in range(3, 401, 8)]:
+        g = class_group(disc)
+        rec = [disc, [c.triple() for c in g.classes], g.table, g.identity,
+               g.squares(), genus_partition(g).genera]
+        h.update(json.dumps(rec, separators=(",", ":")).encode() + b"\n")
+    assert h.hexdigest() == (
+        "b2ade7c13c6d9a07174731fbf91c15b92793761745231303b54b87d9af86ebcd")
 
 
 @pytest.mark.parametrize("disc", [-20, -23, -56, -84])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planes import klein, lattice, suites
+from planes import klein, lattice, qform, repnum, suites
 from planes.cli import cmd_dispatch
 from planes.klein import mu_products
 from planes.lattice import (
@@ -21,6 +21,7 @@ from planes.lattice import (
     integer_kernel,
     plucker_of_basis,
 )
+from planes.qform import QuadForm
 
 
 def _grid_ok(stack, gram_l, gram_w):
@@ -214,3 +215,70 @@ def test_nmax_past_the_int64_bound_is_refused(monkeypatch, capsys, name):
         suites.run_suite(name, nmax=past)
     assert cmd_dispatch(["verify", name, "--nmax", str(past)]) == 2
     assert "int64 bound" in capsys.readouterr().err
+
+
+def test_gauss_genus_reports_a_sublattice(monkeypatch):
+    """Bases patched to (b1, 2 b2) give forms of disc -16n: failure records,
+    not an exception."""
+    real = klein.orthogonal_bases
+
+    def doubled(points):
+        bases = real(points)
+        return np.stack([bases[:, 0], 2 * bases[:, 1]], axis=1)
+
+    monkeypatch.setattr(klein, "orthogonal_bases", doubled)
+    report = suites.check_gauss_genus(nmax=30)
+    assert report["status"] == "fail"
+    records = [r for r in report["detail"]["failures"] if "form" in r]
+    assert {r["n"] for r in records} == {
+        n for n in range(1, 31) if n % 4 in (1, 2) and repnum.is_squarefree(n)}
+    assert all(QuadForm(*r["form"]).disc == -16 * r["n"] for r in records)
+
+
+def test_forms_suites_build_no_composition_table(monkeypatch):
+    def refuse(self):
+        raise RuntimeError("composition table built")
+
+    monkeypatch.setattr(qform.ClassGroup, "table", property(refuse))
+    assert suites.check_class_number(dmax=150)["status"] == "pass"
+    assert suites.check_genus_structure(nmax=150)["status"] == "pass"
+    assert suites.check_gauss_genus(nmax=150)["status"] == "pass"
+
+
+def test_gauss_genus_makes_no_hermite_reduction(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("Hermite reduction")
+
+    for module, name in ((klein, "gauss_map"), (klein, "integer_kernel"),
+                         (lattice, "integer_kernel"), (lattice, "row_hnf")):
+        monkeypatch.setattr(module, name, refuse)
+    assert suites.check_gauss_genus(nmax=150)["status"] == "pass"
+
+
+def test_genus_structure_composes_about_twice_per_class(monkeypatch):
+    """At most 2h compositions per group: h squares, then one coset per
+    genus, each as large as the squares; the h^2 table took 48,666."""
+    calls = []
+    real = qform.compose
+
+    def counted(c1, c2):
+        calls.append(1)
+        return real(c1, c2)
+
+    monkeypatch.setattr(qform, "compose", counted)
+    assert suites.check_genus_structure(nmax=399)["status"] == "pass"
+    total_h = sum(qform.class_group(-4 * n).order for n in range(1, 400))
+    assert len(calls) <= 2 * total_h
+
+
+@pytest.mark.parametrize("name", ["klein", "orth"])
+def test_klein_and_orth_build_the_table_once(monkeypatch, name):
+    built = []
+
+    def build(nmax):
+        built.append(nmax)
+        return lattice._bulk_enumerate(nmax)
+
+    monkeypatch.setattr(lattice, "_plucker_table", lattice.NormTable(build, 6))
+    assert suites.run_suite(name, nmax=100)["status"] == "pass"
+    assert built == [100]
