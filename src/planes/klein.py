@@ -215,11 +215,13 @@ def orthogonal_bases(points) -> np.ndarray:
 def orthogonal_classes(points) -> list[FormClass]:
     """Sorted distinct proper classes of the forms on v^perp, v over the
     primitive points: the Gram forms of `orthogonal_bases`, each distinct
-    one reduced once.  Each class stands for its `gauss_map` GL2 class."""
+    one reduced once.  Each class stands for its `gauss_map` GL2 class.
+    Distinct rows go through a set: `np.unique(axis=0)` would import
+    numpy.ma on its first call."""
     b = orthogonal_bases(points)
     g = np.einsum("nak,nbk->nab", b, b)
-    grams = np.unique(np.stack([g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]], axis=1), axis=0)
-    return sorted({_class_of_gram(*f) for f in grams.tolist()})
+    grams = set(zip(g[:, 0, 0].tolist(), g[:, 0, 1].tolist(), g[:, 1, 1].tolist()))
+    return sorted({_class_of_gram(*f) for f in grams})
 
 
 def _plane_class(plane: Plane) -> FormClass:

@@ -1,6 +1,10 @@
 """Klein correspondence, Gauss map, and pair realizability."""
 
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,21 @@ def test_orthogonal_classes_are_the_gauss_map(n):
     pts = repnum.sphere_points(n)
     assert ({gl2_class(c) for c in orthogonal_classes(pts)}
             == {gauss_map(v) for v in pts.tolist()})
+
+
+def test_orthogonal_classes_import_nothing():
+    """No module import on the first call: gauss-genus runs it in a timed
+    round, where a first-use import (np.unique(axis=0) pulls in numpy.ma)
+    adds file reads to the round."""
+    code = ("import sys; from planes import klein, repnum; "
+            "before = set(sys.modules); "
+            "klein.orthogonal_classes(repnum.sphere_points(21)); "
+            "print(sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(Path(klein.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_gauss_map_values():
