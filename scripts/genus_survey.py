@@ -9,25 +9,15 @@ Usage: python3 scripts/genus_survey.py [--nmax 150]
 
 import argparse
 
-from planes import repnum
-from planes.klein import genus_context, realizable_pair
-from planes.lattice import enumerate_planes
-from planes.qform import FormClass, QuadForm
+from planes import lattice, repnum
+from planes.klein import class_pairs, genus_context
 
 
 def survey_row(n: int):
     group, partition, _ = genus_context(n)
-    observed = set()
-    for plane in enumerate_planes(n):
-        c1 = FormClass.of(QuadForm(*plane.binary_form()))
-        c2 = FormClass.of(QuadForm(*plane.orthogonal_complement().binary_form()))
-        observed.add((c1, c2))
-    predicted = sum(
-        1 for c1 in group.classes for c2 in group.classes
-        if realizable_pair(c1, c2, n)
-    )
+    observed, predicted, _ = class_pairs(n)
     h = group.order
-    return h, partition.count, len(observed), predicted, h * h // partition.count
+    return h, partition.count, len(observed), len(predicted), h * h // partition.count
 
 
 def main() -> None:
@@ -37,6 +27,7 @@ def main() -> None:
 
     print(f"{'n':>5} {'h(-4n)':>7} {'genera':>7} {'observed':>9} "
           f"{'predicted':>10} {'h^2/genera':>11}")
+    lattice.warm_cache(args.nmax)
     for n in range(5, args.nmax + 1, 4):
         if not repnum.is_squarefree(n):
             continue

@@ -313,8 +313,12 @@ def cmd_dispatch(argv=None) -> int:
         return 2
     text = _render(payload, args)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)

@@ -13,7 +13,7 @@ from math import gcd
 
 import numpy as np
 
-from planes import repnum
+from planes import lattice, repnum
 from planes.lattice import Plane, hnf_rows, integer_kernel
 from planes.qform import (
     FormClass,
@@ -83,9 +83,7 @@ def klein_pairs(rows) -> np.ndarray:
     """`klein_map` of the plane of each Plucker row, as an (N, 2, 3) array
     of (a1, a2), with the joint sign of `KleinPair.of`."""
     pairs = _linear_pairs(rows)
-    a1 = pairs[:, 0]
-    lead = a1[np.arange(len(a1)), (a1 != 0).argmax(axis=1)]
-    return np.where((lead < 0)[:, None, None], -pairs, pairs)
+    return pairs * lattice.lead_signs(pairs[:, 0])[:, None, None]
 
 
 def _odd_part(n: int) -> int:
@@ -117,12 +115,11 @@ def _pair_scan(n: int, collect: bool):
         return 0, []
     g = np.gcd.reduce(np.abs(pts), axis=1)
     odd = g // (g & -g)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    normalized = (x > 0) | ((x == 0) & (y > 0)) | ((x == 0) & (y == 0) & (z > 0))
-    parity = (x % 2) * 4 + (y % 2) * 2 + z % 2
+    normalized = lattice.lead_signs(pts) > 0
+    parity = (pts % 2) @ np.array([4, 2, 1])
     total = 0
     found = []
-    for key in np.unique(parity):
+    for key in np.flatnonzero(np.bincount(parity, minlength=8)):
         idx = np.flatnonzero(parity == key)
         sub, sub_odd = pts[idx], odd[idx]
         for i in np.flatnonzero(normalized[idx]):
@@ -212,16 +209,23 @@ def orthogonal_bases(points) -> np.ndarray:
     return bases
 
 
+def gram_classes(bases) -> tuple[list[FormClass], np.ndarray]:
+    """Proper classes of the forms on the bases (N, 2, k): a list of
+    classes, one per distinct Gram matrix, and the index in it of the class
+    on each basis.  The distinct ones are found with a dict, since numpy's
+    row de-duplication imports numpy.ma on first use."""
+    g = np.einsum("nak,nbk->nab", bases, bases)
+    grams = list(zip(g[:, 0, 0].tolist(), g[:, 0, 1].tolist(), g[:, 1, 1].tolist()))
+    slot = {f: k for k, f in enumerate(dict.fromkeys(grams))}
+    return ([_class_of_gram(*f) for f in slot],
+            np.fromiter(map(slot.__getitem__, grams), np.intp, len(grams)))
+
+
 def orthogonal_classes(points) -> list[FormClass]:
     """Sorted distinct proper classes of the forms on v^perp, v over the
-    primitive points: the Gram forms of `orthogonal_bases`, each distinct
-    one reduced once.  Each class stands for its `gauss_map` GL2 class.
-    Distinct rows go through a set: `np.unique(axis=0)` would import
-    numpy.ma on its first call."""
-    b = orthogonal_bases(points)
-    g = np.einsum("nak,nbk->nab", b, b)
-    grams = set(zip(g[:, 0, 0].tolist(), g[:, 0, 1].tolist(), g[:, 1, 1].tolist()))
-    return sorted({_class_of_gram(*f) for f in grams})
+    primitive points, on the bases of `orthogonal_bases`.  Each class
+    stands for its `gauss_map` GL2 class."""
+    return sorted(set(gram_classes(orthogonal_bases(points))[0]))
 
 
 def _plane_class(plane: Plane) -> FormClass:
@@ -334,3 +338,18 @@ def realizable_pair(c1: FormClass, c2: FormClass, n: int) -> bool:
     if c1.disc != -4 * n or c2.disc != -4 * n:
         raise ValueError("classes must have discriminant -4n")
     return partition.genus_of_class(compose(c1, c2)) == target
+
+
+def class_pairs(n: int):
+    """The observed (plane form, complement form) class pairs of the planes
+    of norm n, on `lattice.plane_bases`; the pairs `realizable_pair`
+    admits; and the Plucker rows whose complement is not among the planes."""
+    group, _, _ = genus_context(n)
+    rows = lattice.plucker_arrays(n)
+    classes, which = gram_classes(lattice.plane_bases(rows))
+    comp = lattice.complement_index(rows)
+    pairs = set(zip(which[comp >= 0].tolist(), which[comp[comp >= 0]].tolist()))
+    observed = {(classes[i], classes[j]) for i, j in pairs}
+    admitted = {(c1, c2) for c1 in group.classes for c2 in group.classes
+                if realizable_pair(c1, c2, n)}
+    return observed, admitted, rows[comp < 0]

@@ -263,6 +263,28 @@ def plane_bases(rows) -> np.ndarray:
     return np.stack([u, v], axis=1)
 
 
+def lead_signs(rows) -> np.ndarray:
+    """Sign of the first nonzero entry of each row (N, k), 0 for a zero
+    row: the sign-class rule in array form."""
+    rows = np.asarray(rows)
+    return np.sign(rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)])
+
+
+def complements(rows) -> np.ndarray:
+    """`orth_complement` of each Plucker row, shape (N, 6)."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 6)
+    q = rows[:, ::-1] * np.array([1, -1, 1, 1, -1, 1])
+    return q * lead_signs(q)[:, None]
+
+
+def complement_index(rows) -> np.ndarray:
+    """Index in rows, the planes of one norm, of each plane's complement,
+    looked up by its `complements` row; -1 where it is not there."""
+    where = {p: k for k, p in enumerate(map(tuple, rows.tolist()))}
+    return np.array([where.get(q, -1) for q in map(tuple, complements(rows).tolist())],
+                    dtype=np.intp)
+
+
 def orth_complement(p: PluckerVector) -> PluckerVector:
     """Plucker vector of the orthogonal complement, sign-normalized.
 
@@ -461,11 +483,9 @@ def _bulk_enumerate(nmax: int) -> tuple[np.ndarray, np.ndarray]:
     # x = 0: any primitive (d, e, f) with its first nonzero entry positive
     for d in range(R + 1):
         L = int(np.searchsorted(NORM, nmax - d * d, side="right"))
-        E, F = P[:L], Q[:L]
-        head = (d > 0) | (E > 0) | ((E == 0) & (F > 0))
-        E, F = E[head], F[head]
-        emit((0, 0, 0), np.full(len(E), d, dtype=np.int64), E, F,
-             d * d + NORM[:L][head])
+        D = np.full(L, d, dtype=np.int64)
+        head = lead_signs(np.stack([D, P[:L], Q[:L]], axis=1)) > 0
+        emit((0, 0, 0), D[head], P[:L][head], Q[:L][head], d * d + NORM[:L][head])
     return np.concatenate(out_n), np.concatenate(out_rows)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from planes import klein, lattice, mds, qform, repnum
-from planes.lattice import PluckerVector, orth_complement
 
 
 def _report(name: str, failures: list, detail: dict) -> dict:
@@ -67,12 +66,9 @@ def check_orth(nmax: int = 200) -> dict:
     failures = []
     for n in range(1, nmax + 1):
         rows = lattice.plucker_arrays(n)
-        shuffles = np.array([orth_complement(PluckerVector(*p)).coords
-                             for p in rows.tolist()],
-                            dtype=np.int64).reshape(-1, 6)
-        lead = shuffles[np.arange(len(shuffles)), (shuffles != 0).argmax(axis=1)]
+        shuffles = lattice.complements(rows)
         skew_product = lattice.skew_matrices(rows) @ lattice.skew_matrices(shuffles)
-        bad = (skew_product.any(axis=(1, 2)) | (lead < 0)
+        bad = (skew_product.any(axis=(1, 2)) | (lattice.lead_signs(shuffles) < 0)
                | (np.gcd.reduce(shuffles, axis=1) != 1)
                | ((shuffles * shuffles).sum(axis=1) != n))
         failures += [{"n": n, "plucker": tuple(p), "shuffle": tuple(q)}
@@ -141,14 +137,6 @@ def check_gauss_genus(nmax: int = 200) -> dict:
     return _report("gauss-genus", failures, {"nmax": nmax})
 
 
-def _complement_index(rows) -> np.ndarray:
-    """Index in rows, the planes of one norm, of each plane's complement,
-    looked up by its shuffled Plucker vector; -1 where it is not there."""
-    where = {p: k for k, p in enumerate(map(tuple, rows.tolist()))}
-    return np.array([where.get(orth_complement(PluckerVector(*p)).coords, -1)
-                     for p in rows.tolist()], dtype=np.intp)
-
-
 def _refuse_past_int64(nmax: int) -> None:
     if nmax > lattice.NMAX_INT64:
         raise ValueError(f"nmax {nmax} is past the int64 bound {lattice.NMAX_INT64}")
@@ -188,7 +176,7 @@ def check_comp_ort(nmax: int = 150) -> dict:
         if not repnum.is_squarefree(n):
             continue
         rows = lattice.plucker_arrays(n)
-        bases, comp = lattice.plane_bases(rows), _complement_index(rows)
+        bases, comp = lattice.plane_bases(rows), lattice.complement_index(rows)
         gram = np.einsum("nak,nbk->nab", bases, bases)
         pairs = klein.klein_pairs(rows)
         maps = []  # per map: products, traced, spans a^perp, norm identity
@@ -221,31 +209,17 @@ def check_comp_ort(nmax: int = 150) -> dict:
 
 def check_pair_genus(nmax: int = 150) -> dict:
     """Observed (plane form, complement form) pairs equal the genus rule,
-    with forms read off `lattice.plane_bases` and each distinct one reduced
-    once; nmax may not pass NMAX_INT64."""
+    both from `klein.class_pairs`; nmax may not pass NMAX_INT64."""
     _refuse_past_int64(nmax)
     lattice.warm_cache(nmax)
     failures = []
     for n in range(5, nmax + 1, 4):
         if not repnum.is_squarefree(n):
             continue
-        group, partition, target = klein.genus_context(n)
-        rows = lattice.plucker_arrays(n)
-        bases, comp = lattice.plane_bases(rows), _complement_index(rows)
+        observed, predicted, lost = klein.class_pairs(n)
         failures += [{"n": n, "plucker": tuple(p),
                       "why": "complement not among the planes"}
-                     for p in rows[comp < 0].tolist()]
-        g = np.einsum("nak,nbk->nab", bases, bases)
-        forms, form_of = np.unique(np.stack([g[:, 0, 0], 2 * g[:, 0, 1], g[:, 1, 1]], 1),
-                                   axis=0, return_inverse=True)
-        classes = [qform.FormClass.of(qform.QuadForm(*f)) for f in forms.tolist()]
-        pairs = np.unique(np.stack([form_of, form_of[comp]], axis=1)[comp >= 0], axis=0)
-        observed = {(classes[i], classes[j]) for i, j in pairs.tolist()}
-        predicted = {
-            (c1, c2)
-            for c1 in group.classes for c2 in group.classes
-            if partition.genus_of_class(qform.compose(c1, c2)) == target
-        }
+                     for p in lost.tolist()]
         if observed != predicted:
             failures.append({"n": n, "observed": len(observed),
                              "predicted": len(predicted)})

@@ -173,6 +173,14 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == direct
 
 
+def test_out_file_that_cannot_be_written_is_an_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "pairs.csv"
+    code, out, err = run(capsys, "klein", "--disc", "5", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_runconfig_validation(capsys):
     # the parsed namespace is the run config: the parser rejects what the
     # config must not hold, and fills in its defaults

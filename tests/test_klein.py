@@ -15,9 +15,11 @@ from planes import klein, repnum
 from planes.klein import (
     CMQuadruple,
     KleinPair,
+    class_pairs,
     cm_points,
     gauss_map,
     genus_context,
+    gram_classes,
     klein_map,
     klein_pairs,
     mu_image,
@@ -150,18 +152,20 @@ def test_orthogonal_classes_are_the_gauss_map(n):
 
 
 def test_orthogonal_classes_import_nothing():
-    """No module import on the first call: gauss-genus runs it in a timed
-    round, where a first-use import (np.unique(axis=0) pulls in numpy.ma)
-    adds file reads to the round."""
-    code = ("import sys; from planes import klein, repnum; "
-            "before = set(sys.modules); "
-            "klein.orthogonal_classes(repnum.sphere_points(21)); "
-            "print(sorted(set(sys.modules) - before))")
+    """No module import on the first call: gauss-genus and the plane suites
+    run in timed rounds, where a first-use import (np.unique pulls in
+    numpy.ma) adds file reads to the round."""
     env = dict(os.environ, PYTHONPATH=str(Path(klein.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    for call in ("klein.orthogonal_classes(repnum.sphere_points(21))",
+                 "[suites.run_suite(s, nmax=20) for s in "
+                 "('klein', 'orth', 'comp-ort', 'pair-genus')]"):
+        code = ("import sys; from planes import klein, repnum, suites; "
+                f"before = set(sys.modules); {call}; "
+                "print(sorted(set(sys.modules) - before))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", call
 
 
 def test_gauss_map_values():
@@ -263,6 +267,32 @@ def test_realizable_pair_validation():
     wrong = FormClass.of(QuadForm(1, 0, 1))
     with pytest.raises(ValueError):
         realizable_pair(wrong, principal, 5)
+
+
+def test_gram_classes_are_the_plane_forms():
+    for n in range(1, 31):
+        planes = enumerate_planes(n)
+        bases = np.array([p.basis for p in planes], dtype=np.int64).reshape(-1, 2, 4)
+        classes, which = gram_classes(bases)
+        assert [classes[k] for k in which.tolist()] == [
+            FormClass.of(QuadForm(*p.binary_form())) for p in planes]
+
+
+def test_class_pairs_are_the_object_path():
+    """`class_pairs` against planes rebuilt one at a time with their
+    complements, the way the genus survey computed them before."""
+    for n in range(5, 46, 4):
+        if not repnum.is_squarefree(n):
+            continue
+        observed, admitted, lost = class_pairs(n)
+        group, _, _ = genus_context(n)
+        assert observed == {
+            (FormClass.of(QuadForm(*p.binary_form())),
+             FormClass.of(QuadForm(*p.orthogonal_complement().binary_form())))
+            for p in enumerate_planes(n)}
+        assert admitted == {(c1, c2) for c1 in group.classes for c2 in group.classes
+                            if realizable_pair(c1, c2, n)}
+        assert not len(lost)
 
 
 def test_realizable_pairs_are_observed():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planes import lattice, repnum
+from planes.klein import KleinPair
 from planes.lattice import (
     Plane,
     PluckerVector,
@@ -29,6 +30,7 @@ from planes.lattice import (
     saturation_index,
     zp_partial,
 )
+from planes.quaternion import TracelessQuaternion
 from planes.repnum import r24_formula
 
 E1, E2, E3, E4 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
@@ -93,6 +95,38 @@ def test_orth_complement_examples():
     p = PluckerVector(1, 0, 1, -1, 0, 1)
     assert orth_complement(p).coords == (1, 0, -1, 1, 0, 1)
     assert orth_complement(orth_complement(p)) == p
+
+
+def test_complements_are_orth_complement():
+    for n in range(1, 61):
+        rows = lattice.plucker_arrays(n)
+        assert lattice.complements(rows).tolist() == [
+            list(orth_complement(PluckerVector(*p)).coords) for p in rows.tolist()]
+
+
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 6), max_size=12))
+@settings(max_examples=100)
+def test_lead_signs_are_the_object_sign_rules(rows):
+    """`lead_signs` against `PluckerVector.sign_normalized` on each row and
+    against `KleinPair.of` on its halves (a1, a2); small entries make
+    leading zeros and whole zero rows common."""
+    arr = np.array(rows, dtype=np.int64).reshape(-1, 6)
+    signs, halves = lattice.lead_signs(arr), lattice.lead_signs(arr[:, :3])
+    for row, s, s3 in zip(rows, signs.tolist(), halves.tolist()):
+        a1, a2 = TracelessQuaternion(*row[:3]), TracelessQuaternion(*row[3:])
+        if not any(row):
+            assert s == 0
+            with pytest.raises(ValueError):
+                PluckerVector(*row).sign_normalized()
+        else:
+            assert PluckerVector(*row).sign_normalized().coords == tuple(s * x for x in row)
+        if not any(row[:3]):
+            assert s3 == 0
+            with pytest.raises(ValueError):
+                KleinPair.of(a1, a2)
+        else:
+            pair = KleinPair.of(a1, a2)
+            assert pair.a1.vec3() + pair.a2.vec3() == tuple(s3 * x for x in row)
 
 
 def test_disc_of_plane_examples():

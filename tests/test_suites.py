@@ -73,12 +73,11 @@ def test_norm_identity_coefficients_agree_with_grid(n):
 
 
 def test_orth_reports_a_wrong_shuffle(monkeypatch):
-    def wrong(p):
-        a, b, c, d, e, f = p.coords
-        return PluckerVector(f, e, d, c, -b, a)
+    def wrong(rows):
+        q = rows[:, ::-1] * np.array([1, 1, 1, 1, -1, 1])
+        return q * lattice.lead_signs(q)[:, None]
 
-    monkeypatch.setattr(suites, "orth_complement", wrong)
-    monkeypatch.setattr(lattice, "orth_complement", wrong)
+    monkeypatch.setattr(lattice, "complements", wrong)
     report = suites.check_orth(nmax=5)
     assert report["status"] == "fail"
     assert report["detail"]["failures"]
@@ -139,7 +138,7 @@ def test_product_arrays_are_mu_products(n):
     by `Plane.from_plucker` and their complements."""
     rows = lattice.plucker_arrays(n)
     bases = lattice.plane_bases(rows)
-    comp = suites._complement_index(rows)
+    comp = lattice.complement_index(rows)
     assert (comp >= 0).all()
     planes = [Plane.from_plucker(PluckerVector(*p)) for p in rows.tolist()]
     for which in (1, 2):
