@@ -57,8 +57,9 @@ def _add_bound(parser, name: str, like, **kwargs) -> None:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it
-    unchanged, so every `cmd_dispatch` reuses it."""
+    """The command-line parser, built once per process, on import (the
+    first argparse help string imports `locale` through gettext): parsing
+    leaves it unchanged, so every `cmd_dispatch` reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", dest="fmt", choices=("json", "csv", "text"),
                         default="json", help="output format (default json)")
@@ -323,6 +324,9 @@ def cmd_dispatch(argv=None) -> int:
     else:
         sys.stdout.write(text)
     return code
+
+
+_build_parser()
 
 
 def main() -> None:

@@ -107,47 +107,52 @@ def pair_primitive(w1, w2) -> bool:
     return not (s and d)
 
 
-def _pair_scan(n: int, collect: bool):
-    """Pairs (w1, w2) of norm n, congruent mod 2, pair-primitive,
-    with w1 sign-normalized.  Returns (count, pairs-or-empty)."""
+# sign-normalized w1 that `_pair_scan` tests against their class at once
+_W1_BLOCK = 256
+
+
+def _pair_scan(n: int):
+    """Pairs (w1, w2) of norm n, congruent mod 2, pair-primitive, with w1
+    sign-normalized.  Within each parity class, blocks of w1 are tested
+    against every w2 of the class in one broadcast; yields (w1, w2, mask)
+    per block, with mask[a, b] whether (w1[a], w2[b]) is a pair."""
     pts = repnum.sphere_points(n)
-    if not len(pts):
-        return 0, []
-    g = np.gcd.reduce(np.abs(pts), axis=1)
+    g = np.gcd.reduce(pts, axis=1)
     odd = g // (g & -g)
     normalized = lattice.lead_signs(pts) > 0
-    parity = (pts % 2) @ np.array([4, 2, 1])
-    total = 0
-    found = []
+    parity = (pts & 1) @ np.array([4, 2, 1])
     for key in np.flatnonzero(np.bincount(parity, minlength=8)):
         idx = np.flatnonzero(parity == key)
-        sub, sub_odd = pts[idx], odd[idx]
-        for i in np.flatnonzero(normalized[idx]):
-            w1 = sub[i]
-            sm = sub + w1
-            df = sub - w1
-            quarter = ((sm % 4 == 0).all(axis=1)) & ((df % 4 == 0).all(axis=1))
-            mask = (np.gcd(sub_odd[i], sub_odd) == 1) & ~quarter
-            total += int(mask.sum())
-            if collect:
-                t1 = tuple(int(c) for c in w1)
-                for j in np.flatnonzero(mask):
-                    found.append((t1, tuple(int(c) for c in sub[j])))
-    if collect:
-        found.sort()
-    return total, found
+        w2 = pts[idx]
+        heads = idx[normalized[idx]]
+        for lo in range(0, len(heads), _W1_BLOCK):
+            block = heads[lo:lo + _W1_BLOCK]
+            w1 = pts[block, None]
+            quarter = ((((w1 + w2) & 3) == 0).all(axis=2)
+                       & (((w1 - w2) & 3) == 0).all(axis=2))
+            yield w1[:, 0], w2, ~quarter & (np.gcd(odd[block, None], odd[idx]) == 1)
 
 
 def pair_count(n: int) -> int:
     if n < 1:
         raise ValueError("norm must be positive")
-    return _pair_scan(n, False)[0]
+    return sum(int(np.count_nonzero(mask)) for _, _, mask in _pair_scan(n))
+
+
+def pair_array(n: int) -> np.ndarray:
+    """The pairs of `pairs_for_norm`, as a lexsorted (M, 2, 3) int64 array."""
+    if n < 1:
+        raise ValueError("norm must be positive")
+    found = [np.empty((0, 2, 3), dtype=np.int64)]
+    for w1, w2, mask in _pair_scan(n):
+        i, j = np.nonzero(mask)
+        found.append(np.stack([w1[i], w2[j]], axis=1))
+    pairs = np.concatenate(found)
+    return pairs[lattice.lex_order(pairs.reshape(-1, 6))]
 
 
 def pairs_for_norm(n: int) -> list[tuple[tuple, tuple]]:
-    if n < 1:
-        raise ValueError("norm must be positive")
-    return _pair_scan(n, True)[1]
+    return [(tuple(w1), tuple(w2)) for w1, w2 in pair_array(n).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,16 @@ Conventions used throughout:
 * disc(L) = -4 * det(Gram basis) = -4 * (a^2 + ... + f^2).
 
 Enumeration writes the relation as x . y = 0 with x = (a, b, c) and
-y = (f, -e, d).  For each x != 0 whose first nonzero entry x_k is
-positive, the other two entries of y run over a norm-sorted disk in one
-numpy scan and y_k follows by exact division; x = 0 leaves any primitive
-(d, e, f).  The solutions live in a `NormTable`, the grow-only,
-lock-guarded table split by norm that also holds the sphere points of
-`repnum`, so sweeps over a range of discriminants pay for a few passes.
+y = (f, -e, d).  Every x != 0 of norm at most N whose first nonzero entry
+x_k is positive is listed in one array and grouped by the pivot k.  Within
+a group the other two entries (y_i, y_j) of y run over the norm-sorted
+disk up to N - |x|^2, so each x owns a prefix of the disk; the (x, disk
+point) candidates are laid out flat and solved in blocks of at most
+`_BLOCK`, y_k by exact division, with no Python loop over x.  x = 0
+leaves any primitive (d, e, f).  The solutions live in a `NormTable`, the
+grow-only, lock-guarded table split by norm that also holds the sphere
+points of `repnum`, so sweeps over a range of discriminants pay for a few
+passes; it orders its rows by one int64 key (`lex_order`).
 
 Hermite bases come in closed form (`plane_bases`).  The rows of
 S = u v^T - v u^T are S[k] = u_k v - v_k u, and span the plane when its
@@ -32,7 +36,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, isqrt
 
 import numpy as np
@@ -402,6 +405,26 @@ def saturation_index(basis) -> int:
 # enumeration of all primitive planes of a given norm
 
 
+def lex_order(rows, lead=None) -> np.ndarray:
+    """Indices that sort the integer rows (N, w) lexicographically, after
+    the nonnegative integers lead (N,) when given, as `np.lexsort` does,
+    by one argsort of the int64 key lead B^w + sum_i (r_i + R) B^(w-1-i),
+    with R the largest |entry| and B = 2R + 1.  The key is increasing in
+    (lead, row) and equal only on equal rows.  Raises ArithmeticError where
+    the largest key, (max(lead) + 1) B^w - 1, would pass int64."""
+    rows = np.asarray(rows, dtype=np.int64)
+    R = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+    top = 0 if lead is None else int(lead.max(initial=0))
+    B, w = 2 * R + 1, rows.shape[1]
+    if (top + 1) * B ** w > 2 ** 63:
+        raise ArithmeticError(f"sort key {(top + 1) * B ** w - 1} is past int64")
+    key = np.zeros(len(rows), np.int64) if lead is None else lead.astype(np.int64)
+    for col in rows.T:
+        key *= B
+        key += col + R
+    return np.argsort(key)
+
+
 class NormTable:
     """Integer rows grouped by norm, for every norm up to a ceiling that
     only grows.
@@ -428,7 +451,7 @@ class NormTable:
                 return
             target = max(nmax, 2 * self.nmax, 64)
             ns, rows = self._build(target)
-            order = np.lexsort((*rows.T[::-1], ns))
+            order = lex_order(rows, ns)
             ns, rows = ns[order], rows[order]
             starts = np.flatnonzero(np.diff(ns)) + 1
             self._rows = dict(zip(ns[np.r_[0, starts]].tolist(),
@@ -440,52 +463,89 @@ class NormTable:
         return self._rows.get(n, self._empty)
 
 
+def sorted_disk(R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points (P, Q) of the square [-R, R]^2 and their norms, sorted by
+    norm, so the points of norm at most m are a prefix."""
+    rng = np.arange(-R, R + 1, dtype=np.int64)
+    P, Q = (g.ravel() for g in np.meshgrid(rng, rng, indexing="ij"))
+    disk = np.argsort(P * P + Q * Q, kind="stable")
+    P, Q = P[disk], Q[disk]
+    return P, Q, P * P + Q * Q
+
+
+# (x, disk point) candidates that `_bulk_enumerate` solves in one pass: each
+# int64 temporary of a block is 256 KB; 2^16 was no faster and raised the
+# peak of the first table build (to 64) by about 1.5 MB
+_BLOCK = 2 ** 15
+
+
 def _bulk_enumerate(nmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Norms and rows of all sign-normalized primitive solutions of norm <= nmax.
 
     With x = (a, b, c) and y = (f, -e, d) the relation reads x . y = 0.
     """
     R = isqrt(nmax)
-    rng = np.arange(-R, R + 1, dtype=np.int64)
-    P, Q = (g.ravel() for g in np.meshgrid(rng, rng, indexing="ij"))
-    disk = np.argsort(P * P + Q * Q, kind="stable")
-    P, Q = P[disk], Q[disk]
-    NORM = P * P + Q * Q
+    P, Q, NORM = sorted_disk(R)
     out_n: list[np.ndarray] = []
     out_rows: list[np.ndarray] = []
 
-    def emit(x, d, e, f, nv):
-        keep = nv <= nmax
-        g = gcd(*x)
-        if g != 1:  # a primitive x makes every solution primitive
-            keep &= np.gcd(np.gcd(np.gcd(d, e), f), g) == 1
+    def emit(x, g, y, nv):
+        """The primitive rows (x, y_2, -y_1, y_0), of norms nv, for x of
+        content g; a primitive x makes every solution primitive."""
+        keep = np.ones(len(nv), dtype=bool)
+        check = np.flatnonzero(g != 1)
+        keep[check] = np.gcd(np.gcd(np.gcd(y[0][check], y[1][check]),
+                                    y[2][check]), g[check]) == 1
         rows = np.empty((int(keep.sum()), 6), dtype=np.int64)
-        rows[:, :3] = x
-        rows[:, 3], rows[:, 4], rows[:, 5] = d[keep], e[keep], f[keep]
+        rows[:, :3] = x[keep]
+        rows[:, 3], rows[:, 4], rows[:, 5] = y[2][keep], -y[1][keep], y[0][keep]
         out_n.append(nv[keep])
         out_rows.append(rows)
 
-    # x != 0 with first nonzero x_k > 0: the other two entries of y run
-    # over the disk, and y_k is solved from the relation by exact division
-    for x in product(range(R + 1), range(-R, R + 1), range(-R, R + 1)):
-        k = next((m for m in range(3) if x[m]), None)
-        s = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
-        if k is None or x[k] < 0 or s > nmax:
-            continue
+    # x != 0 with first nonzero x_k > 0, grouped by k: each x pairs with the
+    # disk prefix of norm <= nmax - |x|^2 as (y_i, y_j), and y_k is solved
+    # from the relation by exact division, _BLOCK candidates at a time
+    rng = np.arange(-R, R + 1, dtype=np.int64)
+    X = np.stack([g.ravel() for g in np.meshgrid(rng[R:], rng, rng, indexing="ij")],
+                 axis=1)
+    S = (X * X).sum(axis=1)
+    live = (S <= nmax) & (lead_signs(X) > 0)
+    X, S = X[live], S[live]
+    pivot = (X != 0).argmax(axis=1)
+    for k in range(3):
         i, j = (m for m in range(3) if m != k)
-        L = int(np.searchsorted(NORM, nmax - s, side="right"))
-        t = -(x[i] * P[:L] + x[j] * Q[:L])
-        ok = t % x[k] == 0
-        y = [None] * 3
-        y[i], y[j], y[k] = P[:L][ok], Q[:L][ok], t[ok] // x[k]
-        emit(x, y[2], -y[1], y[0], s + NORM[:L][ok] + y[k] * y[k])
+        x, s = X[pivot == k], S[pivot == k]
+        g = np.gcd.reduce(x, axis=1)
+        xi, xj, xk = (np.ascontiguousarray(x[:, m]) for m in (i, j, k))
+        L = np.searchsorted(NORM, nmax - s, side="right")
+        ends = np.cumsum(L)
+        starts = ends - L
+        total = int(ends[-1]) if len(ends) else 0
+        for lo in range(0, total, _BLOCK):
+            hi = min(lo + _BLOCK, total)
+            first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
+            span = slice(first, last + 1)
+            owner = np.repeat(np.arange(first, last + 1),
+                              np.minimum(ends[span], hi) - np.maximum(starts[span], lo))
+            at = np.arange(lo, hi) - starts[owner]
+            t = -(xi[owner] * P[at] + xj[owner] * Q[at])
+            hit = np.flatnonzero(t % xk[owner] == 0)
+            yk = t[hit] // xk[owner[hit]]
+            nv = s[owner[hit]] + NORM[at[hit]] + yk * yk
+            fit = np.flatnonzero(nv <= nmax)
+            owner, at = owner[hit[fit]], at[hit[fit]]
+            y = [None] * 3
+            y[i], y[j], y[k] = P[at], Q[at], yk[fit]
+            emit(x[owner], g[owner], y, nv[fit])
 
     # x = 0: any primitive (d, e, f) with its first nonzero entry positive
     for d in range(R + 1):
         L = int(np.searchsorted(NORM, nmax - d * d, side="right"))
         D = np.full(L, d, dtype=np.int64)
-        head = lead_signs(np.stack([D, P[:L], Q[:L]], axis=1)) > 0
-        emit((0, 0, 0), D[head], P[:L][head], Q[:L][head], d * d + NORM[:L][head])
+        head = np.flatnonzero(lead_signs(np.stack([D, P[:L], Q[:L]], axis=1)) > 0)
+        zero = np.zeros(len(head), dtype=np.int64)
+        emit(np.zeros((len(head), 3), dtype=np.int64), zero,
+             [Q[head], -P[head], D[head]], d * d + NORM[head])
     return np.concatenate(out_n), np.concatenate(out_rows)
 
 

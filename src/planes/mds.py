@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -552,16 +553,23 @@ def _h_value(x1: float, x2: float, yv: float, pv: float) -> float:
     return num / den
 
 
-def _q_factor(d0: int, q: int, w: float) -> float:
+@lru_cache(maxsize=1 << 16)
+def _local_factor(kind: int, q: int, w: float) -> float:
+    """The factor of `_q_factor` at q, which depends on d0 only through
+    kind: 0 where q | d0, else the symbol (-d0 | q) = +-1."""
     yv = q ** (-(w - 1))
-    if d0 % q == 0:
+    if kind == 0:
         x = 1.0 / q
         odd = 0.5 * (_h_value(x, x, yv, q) - _h_value(x, x, -yv, q))
         # q accounts for one odd power of d0, so the odd part counts
         # p-powers of d rather than d/d0; strip that q^(1-w)
         return odd / yv
-    x = repnum.legendre_symbol(-d0, q) / q
+    x = kind / q
     return 0.5 * (_h_value(x, x, yv, q) + _h_value(x, x, -yv, q)) * (1 - x) ** 2
+
+
+def _q_factor(d0: int, q: int, w: float) -> float:
+    return _local_factor(0 if d0 % q == 0 else repnum.legendre_symbol(-d0, q), q, w)
 
 
 def q_value(d0: int, s: float, primes: list[int]) -> float:

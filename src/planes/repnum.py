@@ -123,14 +123,18 @@ def is_admissible_disc(d: int) -> bool:
 
 
 def _bulk_spheres(nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Norms and points of Z^3 of norm 1..nmax, one x-slab at a time: the
+    (y, z) of each x are the prefix of the norm-sorted disk up to nmax - x^2."""
     R = isqrt(nmax)
-    rng = np.arange(-R, R + 1, dtype=np.int64)
-    X, Y, Z = np.meshgrid(rng, rng, rng, indexing="ij")
-    X, Y, Z = X.ravel(), Y.ravel(), Z.ravel()
-    N = X * X + Y * Y + Z * Z
-    keep = (N >= 1) & (N <= nmax)
-    X, Y, Z, N = X[keep], Y[keep], Z[keep], N[keep]
-    return N, np.stack([X, Y, Z], axis=1)
+    P, Q, NORM = lattice.sorted_disk(R)
+    norms, points = [], []
+    for x in range(-R, R + 1):
+        L = int(np.searchsorted(NORM, nmax - x * x, side="right"))
+        skip = 1 if x == 0 else 0  # the disk starts at (0, 0)
+        norms.append(x * x + NORM[skip:L])
+        points.append(np.stack([np.full(L - skip, x, dtype=np.int64),
+                                P[skip:L], Q[skip:L]], axis=1))
+    return np.concatenate(norms), np.concatenate(points)
 
 
 _sphere_table = lattice.NormTable(_bulk_spheres, 3)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from planes import klein, repnum
+from planes import klein, lattice, repnum
 from planes.klein import (
     CMQuadruple,
     KleinPair,
@@ -103,6 +103,42 @@ def test_klein_images_match_pair_scan(n):
     assert images == set(pairs_for_norm(n))
 
 
+def _pair_scan_per_w1(n):
+    """The pair scan one sign-normalized w1 at a time: the reference for
+    the blocked broadcast of `klein._pair_scan`."""
+    pts = repnum.sphere_points(n)
+    if not len(pts):
+        return 0, []
+    g = np.gcd.reduce(np.abs(pts), axis=1)
+    odd = g // (g & -g)
+    normalized = lattice.lead_signs(pts) > 0
+    parity = (pts % 2) @ np.array([4, 2, 1])
+    found = []
+    for key in range(8):
+        idx = np.flatnonzero(parity == key)
+        sub, sub_odd = pts[idx], odd[idx]
+        for i in np.flatnonzero(normalized[idx]):
+            w1 = sub[i]
+            quarter = (((sub + w1) % 4 == 0).all(axis=1)
+                       & ((sub - w1) % 4 == 0).all(axis=1))
+            mask = (np.gcd(sub_odd[i], sub_odd) == 1) & ~quarter
+            found += [(tuple(w1.tolist()), tuple(sub[j].tolist()))
+                      for j in np.flatnonzero(mask)]
+    return len(found), sorted(found)
+
+
+def test_pair_scan_matches_the_per_w1_loop(monkeypatch):
+    """Every norm n <= 60, with the w1 block at its size and at 3, so that
+    blocks end inside a parity class."""
+    oracle = {n: _pair_scan_per_w1(n) for n in range(1, 61)}
+    for block in (klein._W1_BLOCK, 3):
+        monkeypatch.setattr(klein, "_W1_BLOCK", block)
+        for n, (count, pairs) in oracle.items():
+            assert pair_count(n) == count
+            assert pairs_for_norm(n) == pairs
+            assert klein.pair_array(n).tolist() == [list(map(list, p)) for p in pairs]
+
+
 def test_pair_count_rejects_nonpositive():
     with pytest.raises(ValueError):
         pair_count(0)
@@ -152,15 +188,19 @@ def test_orthogonal_classes_are_the_gauss_map(n):
 
 
 def test_orthogonal_classes_import_nothing():
-    """No module import on the first call: gauss-genus and the plane suites
-    run in timed rounds, where a first-use import (np.unique pulls in
-    numpy.ma) adds file reads to the round."""
+    """No module import on the first call: gauss-genus, the plane suites and
+    the count and series queries run in timed rounds, where a first-use
+    import (np.unique pulls in numpy.ma) adds file reads to the round."""
     env = dict(os.environ, PYTHONPATH=str(Path(klein.__file__).parents[1]))
     for call in ("klein.orthogonal_classes(repnum.sphere_points(21))",
                  "[suites.run_suite(s, nmax=20) for s in "
-                 "('klein', 'orth', 'comp-ort', 'pair-genus')]"):
-        code = ("import sys; from planes import klein, repnum, suites; "
-                f"before = set(sys.modules); {call}; "
+                 "('klein', 'orth', 'comp-ort', 'pair-genus')]",
+                 'cli.cmd_dispatch(["count", "--disc", "100"])',
+                 'cli.cmd_dispatch(["series", "--dmax", "31"])'):
+        code = ("import contextlib, io, sys\n"
+                "from planes import cli, klein, repnum, suites\n"
+                "before = set(sys.modules)\n"
+                f"with contextlib.redirect_stdout(io.StringIO()):\n    {call}\n"
                 "print(sorted(set(sys.modules) - before))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env, timeout=60)

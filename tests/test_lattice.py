@@ -268,6 +268,42 @@ def test_tables_are_frozen(name, ceiling):
     assert hashlib.sha256(np.ascontiguousarray(rows).tobytes()).hexdigest() == digest
 
 
+def test_plucker_table_is_frozen_across_block_seams(monkeypatch):
+    """The same digest with blocks of 97 candidates, whose seams fall in
+    the middle of the disk prefix of one x."""
+    monkeypatch.setattr(lattice, "_BLOCK", 97)
+    test_tables_are_frozen("plucker", 256)
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(-3, 3), st.integers(-3, 3),
+                          st.integers(-3, 3)), max_size=40))
+@settings(max_examples=60)
+def test_lex_order_is_the_lexsort_order(entries):
+    rows = np.array(entries, dtype=np.int64).reshape(-1, 4)
+    ns, rows = rows[:, 0], rows[:, 1:]
+    order = lattice.lex_order(rows, ns)
+    oracle = np.lexsort((*rows.T[::-1], ns))
+    assert np.array_equal(np.c_[ns, rows][order], np.c_[ns, rows][oracle])
+    assert np.array_equal(rows[lattice.lex_order(rows)], rows[np.lexsort(rows.T[::-1])])
+
+
+def test_sort_key_past_int64_is_refused():
+    """Entries up to 2^9 make B = 2^10 + 1, and 2^63 / B^6 is about 7.95,
+    so norms up to 6 fit the key and larger ones do not; the table
+    refuses before it changes."""
+    def huge(nmax):
+        return (np.array([nmax, 1]),
+                np.array([[2 ** 9, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, -2 ** 9]]))
+
+    table = lattice.NormTable(huge, 6)
+    with pytest.raises(ArithmeticError, match="past int64"):
+        table.warm(64)
+    assert table.nmax == -1 and table.get(1).shape == (0, 6)
+    assert lattice.lex_order(huge(6)[1], huge(6)[0]).tolist() == [1, 0]
+    with pytest.raises(ArithmeticError):
+        lattice.lex_order(*huge(7)[::-1])
+
+
 def test_plane_bases_match_from_plucker():
     """The closed-form bases equal the kernel-HNF bases on every plane of
     norm <= 60."""

@@ -113,6 +113,36 @@ def test_klein_reports_swapped_coordinates(monkeypatch):
     assert report["detail"]["failures"]
 
 
+def test_klein_reports_two_planes_on_one_pair(monkeypatch):
+    """The bijection check counts distinct images on the sorted array: a
+    map that drops the first plane of each norm and repeats the second in
+    its place has one image fewer than planes at every norm with a plane."""
+    linear = klein.klein_pairs
+    monkeypatch.setattr(klein, "klein_pairs",
+                        lambda rows: linear(np.concatenate([rows[1:2], rows[1:]])))
+    failures = suites.check_klein(nmax=10)["detail"]["failures"]
+    assert failures
+    for record in failures:
+        assert record["distinct_images"] == record["planes"] - 1 == record["pairs"] - 1
+
+
+def test_klein_reports_images_off_the_pair_set(monkeypatch):
+    """Cycling the coordinates of a2 keeps the images distinct and their
+    number, but breaks a1 = a2 mod 2: only the array comparison sees it."""
+    linear = klein.klein_pairs
+
+    def cycled(rows):
+        pairs = linear(rows)
+        pairs[:, 1] = pairs[:, 1][:, [1, 2, 0]]
+        return pairs
+
+    monkeypatch.setattr(klein, "klein_pairs", cycled)
+    failures = suites.check_klein(nmax=10)["detail"]["failures"]
+    assert failures
+    for record in failures:
+        assert record["distinct_images"] == record["planes"] == record["pairs"]
+
+
 def test_klein_and_orth_build_no_plane(monkeypatch, capsys):
     def refuse(cls, p):
         raise RuntimeError(f"Plane built from {p}")
