@@ -13,12 +13,9 @@ from planes.quaternion import Quaternion, TracelessQuaternion
 from planes.lattice import (
     Plane,
     PluckerVector,
-    SymMatrix4,
     enumerate_planes,
     orth_complement,
     plucker_of_basis,
-    rp_count,
-    zp_partial,
 )
 from planes.qform import (
     ClassGroup,

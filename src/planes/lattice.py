@@ -18,10 +18,12 @@ a group the other two entries (y_i, y_j) of y run over the norm-sorted
 disk up to N - |x|^2, so each x owns a prefix of the disk; the (x, disk
 point) candidates are laid out flat and solved in blocks of at most
 `_BLOCK`, y_k by exact division, with no Python loop over x.  x = 0
-leaves any primitive (d, e, f).  The solutions live in a `NormTable`, the
-grow-only, lock-guarded table split by norm that also holds the sphere
-points of `repnum`, so sweeps over a range of discriminants pay for a few
-passes; it orders its rows by one int64 key (`lex_order`).
+leaves any primitive (d, e, f) of norm at most N whose first nonzero
+entry is positive: the primitive rows of that same array.  The solutions
+live in a `NormTable`, the grow-only, lock-guarded table split by norm
+that also holds the sphere points of `repnum`, so sweeps over a range of
+discriminants pay for a few passes; it orders its rows by one int64 key
+(`lex_order`).
 
 Hermite bases come in closed form (`plane_bases`).  The rows of
 S = u v^T - v u^T are S[k] = u_k v - v_k u, and span the plane when its
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
@@ -132,19 +133,6 @@ def integer_kernel(rows) -> tuple[tuple[int, ...], ...]:
     H, U = row_hnf(B, transform=True)
     ker = [U[i] for i in range(n) if not any(H[i])]
     return hnf_rows(ker) if ker else tuple()
-
-
-def _det(rows) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -376,31 +364,6 @@ class Plane:
         }
 
 
-def saturation_index(basis) -> int:
-    """Index [sat(L) : L] for the row span L of a rank-2 integer basis."""
-    rat_kernel = integer_kernel(basis)
-    sat = integer_kernel(rat_kernel)
-    if len(sat) != 2:
-        raise ValueError("basis does not span a plane")
-    # pivot columns of the Hermite basis give an invertible 2x2 block
-    piv = [next(j for j, x in enumerate(row) if x) for row in sat]
-    S = [[Fraction(sat[i][piv[j]]) for j in range(2)] for i in range(2)]
-    det_s = S[0][0] * S[1][1] - S[0][1] * S[1][0]
-    C = []
-    for brow in basis:
-        rhs = [Fraction(brow[piv[0]]), Fraction(brow[piv[1]])]
-        c0 = (rhs[0] * S[1][1] - rhs[1] * S[1][0]) / det_s
-        c1 = (rhs[1] * S[0][0] - rhs[0] * S[0][1]) / det_s
-        C.append((c0, c1))
-        for j in range(4):
-            if c0 * sat[0][j] + c1 * sat[1][j] != brow[j]:
-                raise ValueError("basis is not contained in its saturation span")
-    det_c = C[0][0] * C[1][1] - C[0][1] * C[1][0]
-    if det_c.denominator != 1:
-        raise ValueError("non-integral change of basis")
-    return abs(int(det_c))
-
-
 # ---------------------------------------------------------------------------
 # enumeration of all primitive planes of a given norm
 
@@ -538,14 +501,10 @@ def _bulk_enumerate(nmax: int) -> tuple[np.ndarray, np.ndarray]:
             y[i], y[j], y[k] = P[at], Q[at], yk[fit]
             emit(x[owner], g[owner], y, nv[fit])
 
-    # x = 0: any primitive (d, e, f) with its first nonzero entry positive
-    for d in range(R + 1):
-        L = int(np.searchsorted(NORM, nmax - d * d, side="right"))
-        D = np.full(L, d, dtype=np.int64)
-        head = np.flatnonzero(lead_signs(np.stack([D, P[:L], Q[:L]], axis=1)) > 0)
-        zero = np.zeros(len(head), dtype=np.int64)
-        emit(np.zeros((len(head), 3), dtype=np.int64), zero,
-             [Q[head], -P[head], D[head]], d * d + NORM[head])
+    # x = 0: (d, e, f) runs over the same nonzero vectors as x, and emit
+    # drops the imprimitive ones since g = 0
+    emit(np.zeros_like(X), np.zeros(len(X), dtype=np.int64),
+         [X[:, 2], -X[:, 1], X[:, 0]], S)
     return np.concatenate(out_n), np.concatenate(out_rows)
 
 
@@ -573,140 +532,3 @@ def enumerate_planes(n: int) -> tuple[Plane, ...]:
     rows = plucker_arrays(n)
     return tuple(Plane._assemble(u, v, PluckerVector(*p)) for p, (u, v)
                  in zip(rows.tolist(), plane_bases(rows).tolist()))
-
-
-# ---------------------------------------------------------------------------
-# representation numbers of the senary minor form of a positive matrix
-
-
-@dataclass(frozen=True)
-class SymMatrix4:
-    """Symmetric positive definite 4x4 integer matrix."""
-
-    rows: tuple[tuple[int, int, int, int], ...]
-
-    def __post_init__(self):
-        if len(self.rows) != 4 or any(len(r) != 4 for r in self.rows):
-            raise ValueError("need a 4x4 matrix")
-        for i in range(4):
-            for j in range(4):
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise ValueError("matrix is not symmetric")
-        for k in range(1, 5):
-            minor = [list(r[:k]) for r in self.rows[:k]]
-            if _det(minor) <= 0:
-                raise ValueError("matrix is not positive definite")
-
-    @classmethod
-    def from_rows(cls, rows) -> "SymMatrix4":
-        return cls(tuple(tuple(int(x) for x in r) for r in rows))
-
-    @classmethod
-    def identity(cls) -> "SymMatrix4":
-        return cls.diag(1, 1, 1, 1)
-
-    @classmethod
-    def diag(cls, *entries) -> "SymMatrix4":
-        return cls.from_rows([[entries[i] if i == j else 0 for j in range(4)]
-                              for i in range(4)])
-
-    def minor_form(self) -> tuple[tuple[int, ...], ...]:
-        """6x6 Gram matrix of the induced form on pair-index wedge coordinates."""
-        x = self.rows
-        W = []
-        for (i, j) in _PAIRS:
-            row = []
-            for (k, l) in _PAIRS:
-                row.append(x[i][k] * x[j][l] - x[i][l] * x[j][k])
-            W.append(tuple(row))
-        return tuple(W)
-
-
-def _minor_value(W, v) -> int:
-    total = 0
-    for i in range(6):
-        if v[i] == 0:
-            continue
-        row = W[i]
-        total += v[i] * sum(row[j] * v[j] for j in range(6))
-    return total
-
-
-def _short_vectors(W, bound: int):
-    """All nonzero integer v with v^T W v <= bound, by pruned backtracking.
-
-    Float Cholesky bounds carry a slack of half a unit, so no integer
-    solution can be pruned away; membership is re-checked exactly.
-    """
-    Wf = np.array(W, dtype=float)
-    Lf = np.linalg.cholesky(Wf)
-    Rf = Lf.T  # upper triangular, v^T W v = |Rf v|^2
-    n = 6
-    slack = 0.5
-    v = [0] * n
-    found = []
-
-    def descend(i: int, rem: float):
-        center = sum(Rf[i, j] * v[j] for j in range(i + 1, n))
-        rii = Rf[i, i]
-        half = (max(rem, 0.0) + slack) ** 0.5
-        lo = int(np.ceil((-half - center) / rii))
-        hi = int(np.floor((half - center) / rii))
-        for vi in range(lo, hi + 1):
-            t = (rii * vi + center) ** 2
-            if t > rem + slack:
-                continue
-            v[i] = vi
-            if i == 0:
-                q = _minor_value(W, v)
-                if 0 < q <= bound:
-                    found.append((tuple(v), q))
-            else:
-                descend(i - 1, rem - t)
-        v[i] = 0
-
-    descend(n - 1, float(bound))
-    return found
-
-
-def rp_counts(x: SymMatrix4, kmax: int) -> dict[int, int]:
-    """Counts, for every k <= kmax, of primitive decomposable sign classes
-    on which the minor form of x takes the value k."""
-    W = x.minor_form()
-    counts: dict[int, int] = {k: 0 for k in range(1, kmax + 1)}
-    for v, q in _short_vectors(W, kmax):
-        first = next(c for c in v if c)
-        if first < 0:
-            continue
-        g = 0
-        for c in v:
-            g = gcd(g, c)
-        if g != 1:
-            continue
-        if v[0] * v[5] - v[1] * v[4] + v[2] * v[3] != 0:
-            continue
-        counts[q] += 1
-    return counts
-
-
-def rp_count(x: SymMatrix4, k: int) -> int:
-    if k < 1:
-        raise ValueError("k must be positive")
-    return rp_counts(x, k)[k]
-
-
-def zp_partial(x: SymMatrix4, s, kmax: int):
-    """Partial Dirichlet sum sum_{k<=kmax} rp(x;k) k^-s.
-
-    Exact Fraction for nonnegative integer s, float otherwise.
-    """
-    counts = rp_counts(x, kmax)
-    s_int = None
-    if isinstance(s, int):
-        s_int = s
-    elif isinstance(s, Fraction) and s.denominator == 1:
-        s_int = int(s)
-    if s_int is not None and s_int >= 0:
-        return sum(Fraction(r, k ** s_int) for k, r in counts.items() if r)
-    sf = float(s)
-    return float(sum(r * k ** (-sf) for k, r in counts.items() if r))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -192,9 +192,7 @@ class MultiPoly:
             return "0"
         bits = []
         for e, c in self.sorted_terms():
-            factors = [str(c)] if abs(c) != 1 or not any(e) else (["-1"] if c == -1 else [])
-            if c == -1 and any(e):
-                factors = []
+            factors = [str(c)] if abs(c) != 1 or not any(e) else []
             for v, k in zip(VARS, e):
                 if k == 1:
                     factors.append(v)
@@ -292,22 +290,17 @@ class SeriesTable:
 # the generating function H and its even/odd pieces
 
 
-_H_CACHE: RationalFn | None = None
-
-
+@cache
 def h_fn() -> RationalFn:
-    global _H_CACHE
-    if _H_CACHE is None:
-        # the last coefficient must be +p: with -p the even part at
-        # x1 = x2 = 1/p misses (1-y^2)(1-py^2) by 2py^4
-        num = (ONE - X1 * Y - X2 * Y + X1 * X2 * Y + P * X1 * X2 * Y ** 2
-               - P * X1 * X2 ** 2 * Y ** 2 - P * X1 ** 2 * X2 * Y ** 2
-               + P * X1 ** 2 * X2 ** 2 * Y ** 3)
-        den = (ONE - X1, ONE - X2, ONE - Y,
-               ONE - P * X1 ** 2 * Y ** 2, ONE - P * X2 ** 2 * Y ** 2,
-               ONE - P ** 2 * X1 ** 2 * X2 ** 2 * Y ** 2)
-        _H_CACHE = RationalFn(num, den)
-    return _H_CACHE
+    # the last coefficient must be +p: with -p the even part at
+    # x1 = x2 = 1/p misses (1-y^2)(1-py^2) by 2py^4
+    num = (ONE - X1 * Y - X2 * Y + X1 * X2 * Y + P * X1 * X2 * Y ** 2
+           - P * X1 * X2 ** 2 * Y ** 2 - P * X1 ** 2 * X2 * Y ** 2
+           + P * X1 ** 2 * X2 ** 2 * Y ** 3)
+    den = (ONE - X1, ONE - X2, ONE - Y,
+           ONE - P * X1 ** 2 * Y ** 2, ONE - P * X2 ** 2 * Y ** 2,
+           ONE - P ** 2 * X1 ** 2 * X2 ** 2 * Y ** 2)
+    return RationalFn(num, den)
 
 
 def h_series(kmax: int, lmax: int, mmax: int) -> SeriesTable:

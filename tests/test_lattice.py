@@ -1,12 +1,10 @@
-"""Plucker embedding, plane enumeration, and the minor-form counts.
+"""Plucker embedding and plane enumeration.
 
 The slow 6-fold loop below is the ground-truth oracle for small norms;
 the production enumerator must reproduce it exactly.
 """
 
 import hashlib
-import random
-from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
@@ -19,16 +17,11 @@ from planes.klein import KleinPair
 from planes.lattice import (
     Plane,
     PluckerVector,
-    SymMatrix4,
     enumerate_planes,
     integer_kernel,
     orth_complement,
     plucker_of_basis,
     row_hnf,
-    rp_count,
-    rp_counts,
-    saturation_index,
-    zp_partial,
 )
 from planes.quaternion import TracelessQuaternion
 from planes.repnum import r24_formula
@@ -144,7 +137,6 @@ def test_enumerated_planes_are_coherent(n):
         assert plane.disc == -4 * n
         assert plane.plucker.is_sign_normalized
         assert plane.plucker.is_primitive
-        assert saturation_index(plane.basis) == 1
         # the stored basis must reproduce the stored coordinates
         rt = plucker_of_basis(*plane.basis).sign_normalized()
         assert rt == plane.plucker
@@ -153,61 +145,6 @@ def test_enumerated_planes_are_coherent(n):
     # the complement permutes the solution set
     flipped = {orth_complement(p.plucker).coords for p in planes}
     assert flipped == seen
-
-
-def _random_unimodular(rng: random.Random):
-    m = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    for _ in range(12):
-        i, j = rng.sample(range(4), 2)
-        c = rng.randint(-2, 2)
-        for k in range(4):
-            m[i][k] += c * m[j][k]
-    return m
-
-
-@pytest.mark.parametrize("diag", [(1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 3)])
-def test_second_determinantal_divisor_lemma(diag):
-    """det of the lower-right 2x2 block of d x d^T equals the minor form
-    at the wedge of the last two rows of d."""
-    x = SymMatrix4.diag(*diag)
-    W = x.minor_form()
-    rng = random.Random(20240811)
-    for _ in range(50):
-        delta = _random_unimodular(rng)
-        u, v = delta[2], delta[3]
-        g = [[sum(u2[i] * diag[i] * v2[i] for i in range(4))
-              for v2 in (u, v)] for u2 in (u, v)]
-        d2 = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-        w = plucker_of_basis(u, v).coords
-        q = sum(w[i] * W[i][j] * w[j] for i in range(6) for j in range(6))
-        assert d2 == q
-
-
-def test_rp_count_identity_matrix():
-    assert rp_count(SymMatrix4.identity(), 1) == 6
-    counts = rp_counts(SymMatrix4.identity(), 50)
-    for k in range(1, 51):
-        assert counts[k] == r24_formula(k)
-
-
-def test_rp_count_weighted_axis():
-    # only the three coordinate planes that avoid the weighted axis
-    assert rp_count(SymMatrix4.diag(1, 1, 1, 2), 1) == 3
-
-
-def test_zp_partial_values():
-    x = SymMatrix4.identity()
-    assert zp_partial(x, 0, 3) == 62
-    assert zp_partial(x, 1, 1) == Fraction(6)
-    assert zp_partial(x, 2, 0) == 0
-
-
-def test_symmatrix_validation():
-    with pytest.raises(ValueError):
-        SymMatrix4.from_rows([[1, 2, 0, 0], [0, 1, 0, 0],
-                              [0, 0, 1, 0], [0, 0, 0, 1]])
-    with pytest.raises(ValueError):
-        SymMatrix4.diag(1, 1, 1, -1)
 
 
 vec4 = st.tuples(*(st.integers(min_value=-6, max_value=6) for _ in range(4)))
@@ -237,11 +174,7 @@ def test_integer_kernel_is_orthogonal_and_saturated(u, v):
         assert sum(a * b for a, b in zip(krow, u)) == 0
         assert sum(a * b for a, b in zip(krow, v)) == 0
     if len(ker) == 2:
-        assert saturation_index(ker) == 1
-
-
-def test_saturation_index_example():
-    assert saturation_index([[2, 0, 0, 0], [0, 1, 0, 0]]) == 2
+        assert plucker_of_basis(*ker).is_primitive
 
 
 # sha256 of the rows of norms 1..256, concatenated as int64 in C order,

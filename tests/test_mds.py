@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from planes import repnum
+from planes import mds, repnum
 from planes.mds import (
     ONE,
     P,
@@ -145,6 +145,10 @@ def test_h_is_symmetric_in_x1_x2():
     assert s == flipped
 
 
+def test_h_is_built_once():
+    assert h_fn() is h_fn()
+
+
 def test_q_local_even_part_is_one_at_y_zero():
     q = q_local(divides=False)
     assert q.series({"x1": 0, "x2": 0, "y": 0}) == ONE
@@ -210,6 +214,33 @@ def test_local_identity_small_order():
     assert verify_local_identity(order=4)["status"] == "pass"
     with pytest.raises(ValueError):
         verify_local_identity(order=1)
+
+
+@pytest.mark.parametrize("term, expected", [
+    (MultiPoly.const(3), "3"),
+    (MultiPoly.monomial(-1, p=1, y=2, x1=1), "-p*y^2*x1"),
+    (MultiPoly.monomial(Fraction(-2, 3), p=2, y=3), "-2/3*p^2*y^3"),
+])
+def test_local_identity_failure_names_the_lowest_wrong_term(monkeypatch, term, expected):
+    """Add a known term to the left side of the eps = -1 case.  Both
+    denominators are 1 plus terms of degree >= 2, so the lowest term of
+    the cross-multiplied difference is the added term itself."""
+    sides = mds.local_identity_sides
+
+    def perturbed(eps):
+        lhs, rhs = sides(eps)
+        if eps == -1:
+            lhs = RationalFn(lhs.num + term * lhs.den_product(), lhs.den)
+        return lhs, rhs
+
+    monkeypatch.setattr(mds, "local_identity_sides", perturbed)
+    report = verify_local_identity(order=4)
+    assert report["status"] == "fail"
+    cases = {c["eps"]: c for c in report["detail"]["cases"]}
+    assert cases[-1]["mismatching_term"] == expected
+    assert not cases[-1]["symbolic"]
+    assert all(cases[eps]["symbolic"] and "mismatching_term" not in cases[eps]
+               for eps in (1, 0))
 
 
 # ---------------------------------------------------------------------------
