@@ -19,11 +19,13 @@ disk up to N - |x|^2, so each x owns a prefix of the disk; the (x, disk
 point) candidates are laid out flat and solved in blocks of at most
 `_BLOCK`, y_k by exact division, with no Python loop over x.  x = 0
 leaves any primitive (d, e, f) of norm at most N whose first nonzero
-entry is positive: the primitive rows of that same array.  The solutions
-live in a `NormTable`, the grow-only, lock-guarded table split by norm
-that also holds the sphere points of `repnum`, so sweeps over a range of
-discriminants pay for a few passes; it orders its rows by one int64 key
-(`lex_order`).
+entry is positive: the primitive rows of that same array.  The solved
+blocks (`_solve_blocks`) have two consumers, each grow-only and
+lock-guarded, so sweeps over a range of discriminants pay for a few
+passes.  The rows live in a `NormTable`, split by norm and ordered by
+one int64 key (`lex_order`); it also holds the sphere points of
+`repnum`.  The plane counts live in a `NormCounts`, one bincount of the
+norms of each block, so `plane_count` keeps no rows.
 
 Hermite bases come in closed form (`plane_bases`).  The rows of
 S = u v^T - v u^T are S[k] = u_k v - v_k u, and span the plane when its
@@ -388,22 +390,14 @@ def lex_order(rows, lead=None) -> np.ndarray:
     return np.argsort(key)
 
 
-class NormTable:
-    """Integer rows grouped by norm, for every norm up to a ceiling that
-    only grows.
+class _Ceiling:
+    """Data for every norm up to a ceiling that only grows.  A request past
+    the ceiling refills it under the lock, up to the largest of the
+    request, twice the old ceiling and 64, so a rising sweep of requests
+    pays for a few fills."""
 
-    ``build(nmax)`` returns the norms and the rows of all entries of norm
-    at most nmax, in any order.  A request past the ceiling rebuilds the
-    table under the lock, up to the largest of the request, twice the old
-    ceiling and 64, so a rising sweep of requests pays for a few builds.
-    Rows of one norm are sorted lexicographically.
-    """
-
-    def __init__(self, build, width: int):
-        self._build = build
+    def __init__(self):
         self._lock = threading.Lock()
-        self._rows: dict[int, np.ndarray] = {}
-        self._empty = np.empty((0, width), dtype=np.int64)
         self.nmax = -1
 
     def warm(self, nmax: int) -> None:
@@ -413,17 +407,59 @@ class NormTable:
             if nmax <= self.nmax:
                 return
             target = max(nmax, 2 * self.nmax, 64)
-            ns, rows = self._build(target)
-            order = lex_order(rows, ns)
-            ns, rows = ns[order], rows[order]
-            starts = np.flatnonzero(np.diff(ns)) + 1
-            self._rows = dict(zip(ns[np.r_[0, starts]].tolist(),
-                                  np.split(rows, starts)))
+            self._fill(target)
             self.nmax = target
+
+
+class NormTable(_Ceiling):
+    """Integer rows grouped by norm, for every norm up to the ceiling.
+
+    ``build(nmax)`` returns the norms and the rows of all entries of norm
+    at most nmax, in any order.  Rows of one norm are sorted
+    lexicographically.
+    """
+
+    def __init__(self, build, width: int):
+        super().__init__()
+        self._build = build
+        self._rows: dict[int, np.ndarray] = {}
+        self._empty = np.empty((0, width), dtype=np.int64)
+
+    def _fill(self, target: int) -> None:
+        ns, rows = self._build(target)
+        order = lex_order(rows, ns)
+        ns, rows = ns[order], rows[order]
+        starts = np.flatnonzero(np.diff(ns)) + 1
+        self._rows = dict(zip(ns[np.r_[0, starts]].tolist(),
+                              np.split(rows, starts)))
 
     def get(self, n: int) -> np.ndarray:
         """Rows of norm n; empty if there are none (or n is past the ceiling)."""
         return self._rows.get(n, self._empty)
+
+
+class NormCounts(_Ceiling):
+    """How many entries each norm has, for every norm up to the ceiling.
+
+    ``blocks(nmax)`` yields (norms, rows) blocks that together hold every
+    entry of norm at most nmax; the counts are the sum of one bincount of
+    each block's norms, so no more than one block is held at a time.
+    """
+
+    def __init__(self, blocks):
+        super().__init__()
+        self._blocks = blocks
+        self._counts = np.zeros(0, dtype=np.int64)
+
+    def _fill(self, target: int) -> None:
+        counts = np.zeros(target + 1, dtype=np.int64)
+        for ns, _ in self._blocks(target):
+            counts += np.bincount(ns, minlength=target + 1)
+        self._counts = counts
+
+    def get(self, n: int) -> int:
+        """Entries of norm n; 0 if there are none (or n is past the ceiling)."""
+        return int(self._counts[n]) if 0 <= n < len(self._counts) else 0
 
 
 def sorted_disk(R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -436,25 +472,24 @@ def sorted_disk(R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return P, Q, P * P + Q * Q
 
 
-# (x, disk point) candidates that `_bulk_enumerate` solves in one pass: each
+# (x, disk point) candidates that `_solve_blocks` solves in one pass: each
 # int64 temporary of a block is 256 KB; 2^16 was no faster and raised the
 # peak of the first table build (to 64) by about 1.5 MB
 _BLOCK = 2 ** 15
 
 
-def _bulk_enumerate(nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Norms and rows of all sign-normalized primitive solutions of norm <= nmax.
+def _solve_blocks(nmax: int):
+    """Norms and rows of the sign-normalized primitive solutions of norm
+    <= nmax, one solved block at a time; each solution is in one block.
 
     With x = (a, b, c) and y = (f, -e, d) the relation reads x . y = 0.
     """
     R = isqrt(nmax)
     P, Q, NORM = sorted_disk(R)
-    out_n: list[np.ndarray] = []
-    out_rows: list[np.ndarray] = []
 
-    def emit(x, g, y, nv):
-        """The primitive rows (x, y_2, -y_1, y_0), of norms nv, for x of
-        content g; a primitive x makes every solution primitive."""
+    def primitive(x, g, y, nv):
+        """The norms and primitive rows (x, y_2, -y_1, y_0), of norms nv,
+        for x of content g; a primitive x makes every solution primitive."""
         keep = np.ones(len(nv), dtype=bool)
         check = np.flatnonzero(g != 1)
         keep[check] = np.gcd(np.gcd(np.gcd(y[0][check], y[1][check]),
@@ -462,8 +497,7 @@ def _bulk_enumerate(nmax: int) -> tuple[np.ndarray, np.ndarray]:
         rows = np.empty((int(keep.sum()), 6), dtype=np.int64)
         rows[:, :3] = x[keep]
         rows[:, 3], rows[:, 4], rows[:, 5] = y[2][keep], -y[1][keep], y[0][keep]
-        out_n.append(nv[keep])
-        out_rows.append(rows)
+        return nv[keep], rows
 
     # x != 0 with first nonzero x_k > 0, grouped by k: each x pairs with the
     # disk prefix of norm <= nmax - |x|^2 as (y_i, y_j), and y_k is solved
@@ -499,21 +533,33 @@ def _bulk_enumerate(nmax: int) -> tuple[np.ndarray, np.ndarray]:
             owner, at = owner[hit[fit]], at[hit[fit]]
             y = [None] * 3
             y[i], y[j], y[k] = P[at], Q[at], yk[fit]
-            emit(x[owner], g[owner], y, nv[fit])
+            yield primitive(x[owner], g[owner], y, nv[fit])
 
-    # x = 0: (d, e, f) runs over the same nonzero vectors as x, and emit
-    # drops the imprimitive ones since g = 0
-    emit(np.zeros_like(X), np.zeros(len(X), dtype=np.int64),
-         [X[:, 2], -X[:, 1], X[:, 0]], S)
-    return np.concatenate(out_n), np.concatenate(out_rows)
+    # x = 0: (d, e, f) runs over the same nonzero vectors as x, and
+    # primitive drops the imprimitive ones since g = 0
+    yield primitive(np.zeros_like(X), np.zeros(len(X), dtype=np.int64),
+                    [X[:, 2], -X[:, 1], X[:, 0]], S)
+
+
+def _bulk_enumerate(nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Norms and rows of all sign-normalized primitive solutions of norm
+    <= nmax, in any order."""
+    ns, rows = zip(*_solve_blocks(nmax))
+    return np.concatenate(ns), np.concatenate(rows)
 
 
 _plucker_table = NormTable(_bulk_enumerate, 6)
+_plucker_counts = NormCounts(_solve_blocks)
 
 
 def warm_cache(nmax: int) -> None:
     """Ensure the solution table covers every norm up to nmax."""
     _plucker_table.warm(nmax)
+
+
+def warm_count_cache(nmax: int) -> None:
+    """Ensure the plane counts cover every norm up to nmax."""
+    _plucker_counts.warm(nmax)
 
 
 def plucker_arrays(n: int) -> np.ndarray:
@@ -524,7 +570,12 @@ def plucker_arrays(n: int) -> np.ndarray:
 
 
 def plane_count(n: int) -> int:
-    return len(plucker_arrays(n))
+    """Number of planes of norm n, read off the count sweep: no rows are
+    kept, sorted or split by norm."""
+    if n < 1:
+        raise ValueError("norm must be positive")
+    warm_count_cache(n)
+    return _plucker_counts.get(n)
 
 
 def enumerate_planes(n: int) -> tuple[Plane, ...]:

@@ -548,8 +548,8 @@ def _h_value(x1: float, x2: float, yv: float, pv: float) -> float:
 
 @lru_cache(maxsize=1 << 16)
 def _local_factor(kind: int, q: int, w: float) -> float:
-    """The factor of `_q_factor` at q, which depends on d0 only through
-    kind: 0 where q | d0, else the symbol (-d0 | q) = +-1."""
+    """The factor of `q_value` at q, which depends on d0 only through
+    kind, the symbol (-d0 | q): 0 where q | d0, else +-1."""
     yv = q ** (-(w - 1))
     if kind == 0:
         x = 1.0 / q
@@ -561,15 +561,11 @@ def _local_factor(kind: int, q: int, w: float) -> float:
     return 0.5 * (_h_value(x, x, yv, q) + _h_value(x, x, -yv, q)) * (1 - x) ** 2
 
 
-def _q_factor(d0: int, q: int, w: float) -> float:
-    return _local_factor(0 if d0 % q == 0 else repnum.legendre_symbol(-d0, q), q, w)
-
-
 def q_value(d0: int, s: float, primes: list[int]) -> float:
     """Euler product of the even/odd H parts at x = eps/p, truncated."""
     out = 1.0
-    for q in primes:
-        out *= _q_factor(d0, q, s + 1)
+    for q, kind in zip(primes, repnum.legendre_symbols(-d0, primes).tolist()):
+        out *= _local_factor(kind, q, s + 1)
     return out
 
 

@@ -79,6 +79,20 @@ def legendre_symbol(a: int, p: int) -> int:
     return r
 
 
+def legendre_symbols(a: int, primes) -> np.ndarray:
+    """`legendre_symbol(a, q)` for each odd prime q of primes, as one int64
+    array, by square-and-multiply; q < 2^31 keeps every product below 2^62."""
+    q = np.asarray(primes, dtype=np.int64)
+    if len(q) and (q.min() < 3 or q.max() >= 2 ** 31):
+        raise ValueError("need odd primes q with 3 <= q < 2^31")
+    base, exp, r = a % q, (q - 1) // 2, np.ones_like(q)
+    while exp.any():
+        r = np.where(exp & 1, r * base % q, r)
+        base = base * base % q
+        exp >>= 1
+    return np.where(r == q - 1, -1, r)
+
+
 def kronecker_symbol(a: int, n: int) -> int:
     """Kronecker symbol (a|n) for arbitrary integers."""
     if n == 0:

@@ -22,7 +22,7 @@ def _report(name: str, failures: list, detail: dict) -> dict:
 
 def check_r24(dmax: int = 500) -> dict:
     """Closed formula against both enumerations, d up to dmax."""
-    lattice.warm_cache(dmax)
+    lattice.warm_count_cache(dmax)
     repnum.warm_sphere_cache(dmax)
     failures = []
     for d in range(1, dmax + 1):

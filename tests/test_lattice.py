@@ -208,6 +208,24 @@ def test_plucker_table_is_frozen_across_block_seams(monkeypatch):
     test_tables_are_frozen("plucker", 256)
 
 
+@pytest.mark.parametrize("block", [lattice._BLOCK, 97])
+def test_plane_counts_are_the_table_lengths(monkeypatch, block):
+    """The count sweep gives the row table's count at every norm up to 300,
+    also with blocks of 97 candidates, whose seams fall in the middle of
+    the disk prefix of one x."""
+    lengths = [len(lattice.plucker_arrays(n)) for n in range(1, 301)]
+    monkeypatch.setattr(lattice, "_BLOCK", block)
+    counts = lattice.NormCounts(lattice._solve_blocks)
+    counts.warm(300)
+    assert counts.nmax == 300
+    assert [counts.get(n) for n in range(1, 301)] == lengths
+    assert counts.get(0) == counts.get(301) == 0
+    assert sum(lengths[:256]) == FROZEN_TABLES["plucker"][1]
+    assert [lattice.plane_count(n) for n in range(1, 301)] == lengths
+    with pytest.raises(ValueError):
+        lattice.plane_count(0)
+
+
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(-3, 3), st.integers(-3, 3),
                           st.integers(-3, 3)), max_size=40))
 @settings(max_examples=60)

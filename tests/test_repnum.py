@@ -16,6 +16,7 @@ from planes.repnum import (
     is_squarefree,
     kronecker_symbol,
     legendre_symbol,
+    legendre_symbols,
     prime_factors,
     r3,
     r3_prim,
@@ -92,6 +93,24 @@ def test_legendre_euler_criterion(a, p):
 def test_legendre_rejects_even_modulus():
     with pytest.raises(ValueError):
         legendre_symbol(3, 2)
+
+
+def test_legendre_symbols_are_the_scalar_symbols():
+    """Every odd prime below 10^4, against d0 that several of them divide,
+    one at the top of the range and one past int32; and the largest prime
+    below 2^31, where the squares come closest to int64."""
+    primes = [q for q in range(3, 10 ** 4, 2) if prime_factors(q) == [q]]
+    for d0 in (1, 3, 7, 19, 35, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 9973,
+               9967 * 9973, 2 ** 40 + 3):
+        for a in (-d0, d0):
+            assert legendre_symbols(a, primes).tolist() == [
+                legendre_symbol(a, q) for q in primes]
+    top = 2 ** 31 - 1
+    for a in (-3, -top, 2 ** 40 - 1, -(2 ** 40 + 3)):
+        assert legendre_symbols(a, [top]).tolist() == [legendre_symbol(a, top)]
+    for bad in ([3, 2], [2 ** 31 + 11]):
+        with pytest.raises(ValueError):
+            legendre_symbols(-3, bad)
 
 
 @given(st.integers(min_value=-60, max_value=60), st.sampled_from(ODD_PRIMES))

@@ -311,3 +311,38 @@ def test_klein_and_orth_build_the_table_once(monkeypatch, name):
     monkeypatch.setattr(lattice, "_plucker_table", lattice.NormTable(build, 6))
     assert suites.run_suite(name, nmax=100)["status"] == "pass"
     assert built == [100]
+
+
+def test_r24_and_count_read_no_row_table(monkeypatch, capsys):
+    def refuse(nmax):
+        raise RuntimeError(f"row table built to {nmax}")
+
+    monkeypatch.setattr(lattice._plucker_table, "warm", refuse)
+    assert cmd_dispatch(["verify", "r24", "--dmax", "100"]) == 0
+    assert cmd_dispatch(["count", "--disc", "45"]) == 0
+    assert '"r24_oracle": 768' in capsys.readouterr().out
+
+
+def test_r24_builds_the_count_array_once(monkeypatch):
+    built = []
+
+    def blocks(nmax):
+        built.append(nmax)
+        return lattice._solve_blocks(nmax)
+
+    monkeypatch.setattr(lattice, "_plucker_counts", lattice.NormCounts(blocks))
+    assert suites.run_suite("r24", dmax=100)["status"] == "pass"
+    assert built == [100]
+
+
+def test_r24_reports_one_moved_plucker_count(monkeypatch):
+    """One extra solution of norm 45 in the count sweep: the Plucker count
+    there is 769 against 768 Klein pairs, and r24 fails on that d alone."""
+    def moved(nmax):
+        yield from lattice._solve_blocks(nmax)
+        yield np.array([45]), np.zeros((1, 6), dtype=np.int64)
+
+    monkeypatch.setattr(lattice, "_plucker_counts", lattice.NormCounts(moved))
+    report = suites.run_suite("r24", dmax=60)
+    assert report["status"] == "fail"
+    assert report["detail"]["failures"] == [{"d": 45, "plucker": 769, "klein": 768}]
