@@ -13,19 +13,21 @@ Conventions used throughout:
 
 Enumeration writes the relation as x . y = 0 with x = (a, b, c) and
 y = (f, -e, d).  Every x != 0 of norm at most N whose first nonzero entry
-x_k is positive is listed in one array and grouped by the pivot k.  Within
-a group the other two entries (y_i, y_j) of y run over the norm-sorted
-disk up to N - |x|^2, so each x owns a prefix of the disk; the (x, disk
-point) candidates are laid out flat and solved in blocks of at most
-`_BLOCK`, y_k by exact division, with no Python loop over x.  x = 0
-leaves any primitive (d, e, f) of norm at most N whose first nonzero
-entry is positive: the primitive rows of that same array.  The solved
-blocks (`_solve_blocks`) have two consumers, each grow-only and
-lock-guarded, so sweeps over a range of discriminants pay for a few
-passes.  The rows live in a `NormTable`, split by norm and ordered by
-one int64 key (`lex_order`); it also holds the sphere points of
-`repnum`.  The plane counts live in a `NormCounts`, one bincount of the
-norms of each block, so `plane_count` keeps no rows.
+x_k is positive is read off the x-slabs of the ball of Z^3 (`ball`),
+listed in one array and grouped by the pivot k.  Within a group the other
+two entries (y_i, y_j) of y run over the norm-sorted disk up to
+N - |x|^2, so each x owns a prefix of the disk; the (x, disk point)
+candidates are laid out flat and solved in blocks of at most `_BLOCK`,
+y_k by exact division, with no Python loop over x.  x = 0 leaves any
+primitive (d, e, f) of norm at most N whose first nonzero entry is
+positive: the primitive rows of that same array.
+
+Three grow-only, lock-guarded caches read block generators, so sweeps over
+a range of discriminants pay for a few passes.  The solved blocks
+(`_solve_blocks`) feed a `NormTable` of rows, split by norm and ordered by
+one int64 key (`lex_order`), and a `NormCounts`, one bincount of the norms
+of each block, so `plane_count` keeps no rows.  The slabs of `ball` feed
+the `NormTable` of sphere points of `repnum`.
 
 Hermite bases come in closed form (`plane_bases`).  The rows of
 S = u v^T - v u^T are S[k] = u_k v - v_k u, and span the plane when its
@@ -391,13 +393,16 @@ def lex_order(rows, lead=None) -> np.ndarray:
 
 
 class _Ceiling:
-    """Data for every norm up to a ceiling that only grows.  A request past
-    the ceiling refills it under the lock, up to the largest of the
-    request, twice the old ceiling and 64, so a rising sweep of requests
-    pays for a few fills."""
+    """Data for every norm up to a ceiling that only grows, read off
+    ``blocks(nmax)``, which yields (norms, rows) blocks that together hold
+    every entry of norm at most nmax, in any order.  A request past the
+    ceiling refills it under the lock, up to the largest of the request,
+    twice the old ceiling and 64, so a rising sweep of requests pays for a
+    few fills."""
 
-    def __init__(self):
+    def __init__(self, blocks):
         self._lock = threading.Lock()
+        self._blocks = blocks
         self.nmax = -1
 
     def warm(self, nmax: int) -> None:
@@ -412,21 +417,17 @@ class _Ceiling:
 
 
 class NormTable(_Ceiling):
-    """Integer rows grouped by norm, for every norm up to the ceiling.
-
-    ``build(nmax)`` returns the norms and the rows of all entries of norm
-    at most nmax, in any order.  Rows of one norm are sorted
-    lexicographically.
+    """Integer rows grouped by norm, for every norm up to the ceiling: the
+    blocks concatenated, and the rows of one norm sorted lexicographically.
     """
 
-    def __init__(self, build, width: int):
-        super().__init__()
-        self._build = build
+    def __init__(self, blocks, width: int):
+        super().__init__(blocks)
         self._rows: dict[int, np.ndarray] = {}
         self._empty = np.empty((0, width), dtype=np.int64)
 
     def _fill(self, target: int) -> None:
-        ns, rows = self._build(target)
+        ns, rows = (np.concatenate(part) for part in zip(*self._blocks(target)))
         order = lex_order(rows, ns)
         ns, rows = ns[order], rows[order]
         starts = np.flatnonzero(np.diff(ns)) + 1
@@ -439,16 +440,13 @@ class NormTable(_Ceiling):
 
 
 class NormCounts(_Ceiling):
-    """How many entries each norm has, for every norm up to the ceiling.
-
-    ``blocks(nmax)`` yields (norms, rows) blocks that together hold every
-    entry of norm at most nmax; the counts are the sum of one bincount of
-    each block's norms, so no more than one block is held at a time.
+    """How many entries each norm has, for every norm up to the ceiling:
+    the sum of one bincount of each block's norms, so no more than one
+    block is held at a time.
     """
 
     def __init__(self, blocks):
-        super().__init__()
-        self._blocks = blocks
+        super().__init__(blocks)
         self._counts = np.zeros(0, dtype=np.int64)
 
     def _fill(self, target: int) -> None:
@@ -470,6 +468,18 @@ def sorted_disk(R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     disk = np.argsort(P * P + Q * Q, kind="stable")
     P, Q = P[disk], Q[disk]
     return P, Q, P * P + Q * Q
+
+
+def ball(nmax: int):
+    """Norms and points of Z^3 of norm 1..nmax, one x-slab at a time: the
+    (y, z) of each x are the prefix of the norm-sorted disk up to nmax - x^2."""
+    R = isqrt(nmax)
+    P, Q, NORM = sorted_disk(R)
+    for x in range(-R, R + 1):
+        L = int(np.searchsorted(NORM, nmax - x * x, side="right"))
+        skip = 1 if x == 0 else 0  # the disk starts at (0, 0)
+        yield x * x + NORM[skip:L], np.stack([np.full(L - skip, x, dtype=np.int64),
+                                              P[skip:L], Q[skip:L]], axis=1)
 
 
 # (x, disk point) candidates that `_solve_blocks` solves in one pass: each
@@ -502,11 +512,8 @@ def _solve_blocks(nmax: int):
     # x != 0 with first nonzero x_k > 0, grouped by k: each x pairs with the
     # disk prefix of norm <= nmax - |x|^2 as (y_i, y_j), and y_k is solved
     # from the relation by exact division, _BLOCK candidates at a time
-    rng = np.arange(-R, R + 1, dtype=np.int64)
-    X = np.stack([g.ravel() for g in np.meshgrid(rng[R:], rng, rng, indexing="ij")],
-                 axis=1)
-    S = (X * X).sum(axis=1)
-    live = (S <= nmax) & (lead_signs(X) > 0)
+    S, X = (np.concatenate(part) for part in zip(*ball(nmax)))
+    live = lead_signs(X) > 0
     X, S = X[live], S[live]
     pivot = (X != 0).argmax(axis=1)
     for k in range(3):
@@ -541,14 +548,7 @@ def _solve_blocks(nmax: int):
                     [X[:, 2], -X[:, 1], X[:, 0]], S)
 
 
-def _bulk_enumerate(nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Norms and rows of all sign-normalized primitive solutions of norm
-    <= nmax, in any order."""
-    ns, rows = zip(*_solve_blocks(nmax))
-    return np.concatenate(ns), np.concatenate(rows)
-
-
-_plucker_table = NormTable(_bulk_enumerate, 6)
+_plucker_table = NormTable(_solve_blocks, 6)
 _plucker_counts = NormCounts(_solve_blocks)
 
 

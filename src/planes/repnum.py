@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
@@ -136,22 +135,7 @@ def is_admissible_disc(d: int) -> bool:
 # sums of three squares
 
 
-def _bulk_spheres(nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Norms and points of Z^3 of norm 1..nmax, one x-slab at a time: the
-    (y, z) of each x are the prefix of the norm-sorted disk up to nmax - x^2."""
-    R = isqrt(nmax)
-    P, Q, NORM = lattice.sorted_disk(R)
-    norms, points = [], []
-    for x in range(-R, R + 1):
-        L = int(np.searchsorted(NORM, nmax - x * x, side="right"))
-        skip = 1 if x == 0 else 0  # the disk starts at (0, 0)
-        norms.append(x * x + NORM[skip:L])
-        points.append(np.stack([np.full(L - skip, x, dtype=np.int64),
-                                P[skip:L], Q[skip:L]], axis=1))
-    return np.concatenate(norms), np.concatenate(points)
-
-
-_sphere_table = lattice.NormTable(_bulk_spheres, 3)
+_sphere_table = lattice.NormTable(lattice.ball, 3)
 
 
 def warm_sphere_cache(nmax: int) -> None:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planes import lattice, repnum
+from planes import lattice
 from planes.klein import KleinPair
 from planes.lattice import (
     Plane,
@@ -187,34 +187,41 @@ FROZEN_TABLES = {
 }
 
 
-@pytest.mark.parametrize("ceiling", [256, 300])
-@pytest.mark.parametrize("name", sorted(FROZEN_TABLES))
-def test_tables_are_frozen(name, ceiling):
-    build = {"plucker": lattice._bulk_enumerate,
-             "sphere": repnum._bulk_spheres}[name]
+def _assert_frozen(name, table):
     width, count, digest = FROZEN_TABLES[name]
-    table = lattice.NormTable(build, width)
-    table.warm(ceiling)
-    assert table.nmax == ceiling
     rows = np.concatenate([table.get(n) for n in range(1, 257)])
     assert rows.dtype == np.int64 and rows.shape == (count, width)
     assert hashlib.sha256(np.ascontiguousarray(rows).tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("ceiling", [256, 300])
+@pytest.mark.parametrize("name", sorted(FROZEN_TABLES))
+def test_tables_are_frozen(name, ceiling):
+    blocks = {"plucker": lattice._solve_blocks, "sphere": lattice.ball}[name]
+    table = lattice.NormTable(blocks, FROZEN_TABLES[name][0])
+    table.warm(ceiling)
+    assert table.nmax == ceiling
+    _assert_frozen(name, table)
+
+
 def test_plucker_table_is_frozen_across_block_seams(monkeypatch):
-    """The same digest with blocks of 97 candidates, whose seams fall in
-    the middle of the disk prefix of one x."""
+    """Blocks of 97 candidates, whose seams fall in the middle of the disk
+    prefix of one x, solved once to 300: the table they fill has the
+    frozen digest, and the counts they fill are its lengths."""
     monkeypatch.setattr(lattice, "_BLOCK", 97)
-    test_tables_are_frozen("plucker", 256)
+    blocks = list(lattice._solve_blocks(300))
+    table = lattice.NormTable(lambda nmax: blocks, 6)
+    counts = lattice.NormCounts(lambda nmax: blocks)
+    table.warm(300)
+    counts.warm(300)
+    _assert_frozen("plucker", table)
+    assert [counts.get(n) for n in range(1, 301)] == [len(table.get(n))
+                                                      for n in range(1, 301)]
 
 
-@pytest.mark.parametrize("block", [lattice._BLOCK, 97])
-def test_plane_counts_are_the_table_lengths(monkeypatch, block):
-    """The count sweep gives the row table's count at every norm up to 300,
-    also with blocks of 97 candidates, whose seams fall in the middle of
-    the disk prefix of one x."""
+def test_plane_counts_are_the_table_lengths():
+    """The count sweep gives the row table's count at every norm up to 300."""
     lengths = [len(lattice.plucker_arrays(n)) for n in range(1, 301)]
-    monkeypatch.setattr(lattice, "_BLOCK", block)
     counts = lattice.NormCounts(lattice._solve_blocks)
     counts.warm(300)
     assert counts.nmax == 300
@@ -246,7 +253,7 @@ def test_sort_key_past_int64_is_refused():
         return (np.array([nmax, 1]),
                 np.array([[2 ** 9, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, -2 ** 9]]))
 
-    table = lattice.NormTable(huge, 6)
+    table = lattice.NormTable(lambda nmax: [huge(nmax)], 6)
     with pytest.raises(ArithmeticError, match="past int64"):
         table.warm(64)
     assert table.nmax == -1 and table.get(1).shape == (0, 6)

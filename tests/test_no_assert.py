@@ -1,5 +1,5 @@
-"""Checks in the package must not vanish under `python -O`, and every
-import of a module must be used."""
+"""Checks in the package must not vanish under `python -O`, every import
+of a module must be used, and every private helper must be read."""
 
 import ast
 from pathlib import Path
@@ -39,3 +39,19 @@ def test_package_has_no_unused_imports():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno}:{name}")
     assert SOURCES and not unused, f"unused imports in planes: {unused}"
+
+
+def test_package_reads_every_private_helper():
+    # a private module-level function or class that no code of the package
+    # reads is kept only for tests, or for nothing
+    trees = {path.name: _tree(path) for path in SOURCES}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{name}:{node.lineno}:{node.name}"
+              for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and node.name not in read]
+    assert SOURCES and not unread, f"private helpers no package code reads: {unread}"

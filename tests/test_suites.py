@@ -304,11 +304,11 @@ def test_genus_structure_composes_about_twice_per_class(monkeypatch):
 def test_klein_and_orth_build_the_table_once(monkeypatch, name):
     built = []
 
-    def build(nmax):
+    def blocks(nmax):
         built.append(nmax)
-        return lattice._bulk_enumerate(nmax)
+        return lattice._solve_blocks(nmax)
 
-    monkeypatch.setattr(lattice, "_plucker_table", lattice.NormTable(build, 6))
+    monkeypatch.setattr(lattice, "_plucker_table", lattice.NormTable(blocks, 6))
     assert suites.run_suite(name, nmax=100)["status"] == "pass"
     assert built == [100]
 
