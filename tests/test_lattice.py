@@ -219,9 +219,13 @@ def test_plucker_table_is_frozen_across_block_seams(monkeypatch):
                                                       for n in range(1, 301)]
 
 
-def test_plane_counts_are_the_table_lengths():
-    """The count sweep gives the row table's count at every norm up to 300."""
+@pytest.mark.parametrize("block", [lattice._BLOCK, 97])
+def test_plane_counts_are_the_table_lengths(monkeypatch, block):
+    """The count sweep gives the row table's count at every norm up to 300,
+    also with blocks of 97 candidates, whose seams fall in the middle of
+    the disk prefix of one x."""
     lengths = [len(lattice.plucker_arrays(n)) for n in range(1, 301)]
+    monkeypatch.setattr(lattice, "_BLOCK", block)
     counts = lattice.NormCounts(lattice._solve_blocks)
     counts.warm(300)
     assert counts.nmax == 300
