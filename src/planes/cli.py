@@ -75,16 +75,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", parents=[common],
                        help="count planes of norm D by formula and by oracle")
-    p.add_argument("--disc", type=int, required=True, metavar="D",
+    p.add_argument("--disc", type=_positive, required=True, metavar="D",
                    help="positive plane norm (lattice discriminant is -4D)")
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="list all primitive planes of norm D")
-    p.add_argument("--disc", type=int, required=True, metavar="D")
+    p.add_argument("--disc", type=_positive, required=True, metavar="D")
 
     p = sub.add_parser("klein", parents=[common],
                        help="Klein pairs of all planes of norm D")
-    p.add_argument("--disc", type=int, required=True, metavar="D")
+    p.add_argument("--disc", type=_positive, required=True, metavar="D")
 
     p = sub.add_parser("classgroup", parents=[common],
                        help="form class group of a negative discriminant")
@@ -116,14 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_disc(args: argparse.Namespace) -> int:
-    if args.disc < 1:
-        raise ValueError("--disc must be a positive integer here")
-    return args.disc
-
-
 def _cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
-    d = _positive_disc(args)
+    d = args.disc
     formula = repnum.r24_formula(d)
     try:
         oracle = repnum.r24_oracle(d)
@@ -138,7 +132,7 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
-    d = _positive_disc(args)
+    d = args.disc
     planes = lattice.enumerate_planes(d)
     payload = {"d": d, "count": len(planes),
                "planes": [p.to_json_dict() for p in planes]}
@@ -146,7 +140,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_klein(args: argparse.Namespace) -> tuple[dict, int]:
-    d = _positive_disc(args)
+    d = args.disc
     plucker = lattice.plucker_arrays(d)
     rows = [{"plucker": p, "a1": a1, "a2": a2}
             for p, (a1, a2) in zip(plucker.tolist(),

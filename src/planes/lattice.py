@@ -52,7 +52,7 @@ Vec4 = tuple[int, int, int, int]
 # exact integer matrix helpers
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
     old_r, r = a, b
     old_s, s = 1, 0
@@ -67,18 +67,15 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def row_hnf(rows, transform: bool = False):
+def row_hnf(rows):
     """Row-style Hermite normal form over Z.
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
-    and zero rows sink to the bottom.  With transform=True also returns a
-    unimodular U with U * rows == H, which is how integer kernels are read
-    off (rows of U facing a zero row of H).
+    and zero rows sink to the bottom.
     """
     A = [[int(x) for x in r] for r in rows]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
     r = 0
     for col in range(n):
         piv = None
@@ -90,33 +87,23 @@ def row_hnf(rows, transform: bool = False):
             continue
         if piv != r:
             A[r], A[piv] = A[piv], A[r]
-            U[r], U[piv] = U[piv], U[r]
         for i in range(r + 1, m):
             if A[i][col] == 0:
                 continue
-            g, s, t = _ext_gcd(A[r][col], A[i][col])
+            g, s, t = ext_gcd(A[r][col], A[i][col])
             ar, ai = A[r][col] // g, A[i][col] // g
             Rr, Ri = A[r], A[i]
             A[r] = [s * x + t * y for x, y in zip(Rr, Ri)]
             A[i] = [ar * y - ai * x for x, y in zip(Rr, Ri)]
-            if transform:
-                Ur, Ui = U[r], U[i]
-                U[r] = [s * x + t * y for x, y in zip(Ur, Ui)]
-                U[i] = [ar * y - ai * x for x, y in zip(Ur, Ui)]
         if A[r][col] < 0:
             A[r] = [-x for x in A[r]]
-            U[r] = [-x for x in U[r]]
         for i in range(r):
             q = A[i][col] // A[r][col]
             if q:
                 A[i] = [x - q * y for x, y in zip(A[i], A[r])]
-                if transform:
-                    U[i] = [x - q * y for x, y in zip(U[i], U[r])]
         r += 1
         if r == m:
             break
-    if transform:
-        return A, U
     return A
 
 
@@ -129,14 +116,16 @@ def hnf_rows(rows) -> tuple[tuple[int, ...], ...]:
 def integer_kernel(rows) -> tuple[tuple[int, ...], ...]:
     """Hermite basis of {x : M x = 0} over Z.
 
-    The integer kernel of an integer matrix is saturated by construction.
+    The Hermite form of [M^T | I] is U [M^T | I] = [U M^T | U] for a
+    unimodular U; its rows whose M^T part vanishes carry, in their I part,
+    a basis of the kernel, already in Hermite form.  The integer kernel of
+    an integer matrix is saturated by construction.
     """
     m = len(rows)
     n = len(rows[0])
-    B = [[rows[i][j] for i in range(m)] for j in range(n)]  # transpose, n x m
-    H, U = row_hnf(B, transform=True)
-    ker = [U[i] for i in range(n) if not any(H[i])]
-    return hnf_rows(ker) if ker else tuple()
+    B = [[rows[i][j] for i in range(m)] + [int(i == j) for i in range(n)]
+         for j in range(n)]
+    return tuple(tuple(r[m:]) for r in row_hnf(B) if not any(r[:m]))
 
 
 # ---------------------------------------------------------------------------

@@ -450,12 +450,7 @@ def f_sum_check(d0: int, fmax: int = 99) -> dict:
     for f in range(1, fmax + 1, 2):
         lhs = repnum.f_sum(d0, f)
         rhs = Fraction(1)
-        rest = f
-        for p in repnum.prime_factors(f):
-            k = 0
-            while rest % p == 0:
-                rest //= p
-                k += 1
+        for p, k in repnum.factorize(f):
             eps = repnum.legendre_symbol(-d0, p)
             if eps not in series_cache:
                 series_cache[eps] = p_local(eps).series({"y": 2 * _max_pow(fmax)})

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, isqrt
 
-from planes.lattice import _ext_gcd
+from planes.lattice import ext_gcd
 
 
 @dataclass(frozen=True, order=True)
@@ -116,58 +116,33 @@ class FormClass:
 def principal_form(disc: int) -> QuadForm:
     if disc % 4 == 0:
         return QuadForm(1, 0, -disc // 4)
-    if disc % 4 == 1 or disc % 4 == -3:
+    if disc % 4 == 1:
         return QuadForm(1, 1, (1 - disc) // 4)
     raise ValueError("not a discriminant")
 
 
-def _coprime_rep(q: QuadForm, m: int) -> QuadForm:
-    """A properly equivalent form whose leading coefficient is prime to m.
-
-    Walks primitive coordinate pairs in shells of growing sup-norm and takes
-    the first hit, so the choice is deterministic.
-    """
-    if gcd(q.a, m) == 1:
-        return q
-    for shell in range(1, 64):
-        for x in range(-shell, shell + 1):
-            for y in range(-shell, shell + 1):
-                if max(abs(x), abs(y)) != shell:
-                    continue
-                if gcd(x, y) != 1:
-                    continue
-                val = q(x, y)
-                if val != 0 and gcd(val, m) == 1:
-                    _, s, t = _ext_gcd(x, y)
-                    # det [[x, -t], [y, s]] = x s + y t = 1
-                    return q.transform(x, -t, y, s)
-    raise ArithmeticError("no represented value coprime to target found")
-
-
 def compose(c1: FormClass, c2: FormClass) -> FormClass:
-    """Gauss composition of proper classes of the same discriminant.
+    """Gauss composition of proper classes of the same discriminant D.
 
-    The second form is first rebased so the leading coefficients are
-    coprime; a middle coefficient congruent to both then exists by CRT and
-    (a1*a2, B, (B^2-D)/(4*a1*a2)) represents the composed class.  The
-    smallest admissible CRT lift is taken, so the computation is
-    deterministic.
+    Dirichlet composition (Cohen, A Course in Computational Algebraic
+    Number Theory, 5.4): with s = (b1 + b2)/2 and d = gcd(a1, a2, s) =
+    u a1 + v a2 + w s, the form (A, B, (B^2 - D)/(4A)) with A = a1 a2 / d^2
+    and B = b2 + 2 (a2/d) ((v (s - b2) - w c2) mod a1/d) represents the
+    composed class.  It takes any two primitive forms as they are, and the
+    computation is deterministic.
     """
     if c1.disc != c2.disc:
         raise ValueError("discriminants differ")
     if not (c1.is_primitive and c2.is_primitive):
         raise ValueError("composition needs primitive classes")
-    f1 = c1.form
-    f2 = _coprime_rep(c2.form, c1.form.a)
-    a1, b1 = f1.a, f1.b
-    a2, b2 = f2.a, f2.b
-    if gcd(a1, a2) != 1:
-        raise ArithmeticError(f"leading coefficients {a1}, {a2} are not coprime")
-    # solve B = b1 + 2 a1 t == b2 (mod 2 a2); b1, b2 share the parity of D
-    t = (pow(a1, -1, a2) * ((b2 - b1) // 2)) % a2
-    B = b1 + 2 * a1 * t
+    a1, b1 = c1.form.a, c1.form.b
+    a2, b2 = c2.form.a, c2.form.b
+    s = (b1 + b2) // 2  # b1, b2 share the parity of D
+    g, _, v = ext_gcd(a1, a2)
+    d, x, w = ext_gcd(g, s)  # d = x (u a1 + v a2) + w s
+    B = b2 + 2 * (a2 // d) * ((x * v * (s - b2) - w * c2.form.c) % (a1 // d))
     D = c1.disc
-    A = a1 * a2
+    A = a1 * a2 // (d * d)
     num = B * B - D
     if num % (4 * A):
         raise ArithmeticError(f"composed form is not integral: {A}, {B}, {D}")

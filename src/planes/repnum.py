@@ -20,52 +20,37 @@ from planes import lattice
 # elementary number theory helpers
 
 
-def is_squarefree(n: int) -> bool:
-    if n < 1:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        if n % p == 0:
-            n //= p
-        p += 1
-    return True
-
-
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n = n0 * m^2 with n0 squarefree; returns (n0, m)."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization ((p, e), ...) of n >= 1, p ascending, by trial
+    division."""
     if n < 1:
         raise ValueError("need a positive integer")
-    n0, m = 1, 1
-    p = 2
-    rest = n
-    while p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            m *= p ** (e // 2)
-            if e % 2:
-                n0 *= p
-        p += 1 if p == 2 else 2
-    n0 *= rest
-    return n0, m
-
-
-def prime_factors(n: int) -> list[int]:
     out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            out.append(p)
+            e = 0
             while n % p == 0:
                 n //= p
+                e += 1
+            out.append((p, e))
         p += 1 if p == 2 else 2
     if n > 1:
-        out.append(n)
-    return out
+        out.append((n, 1))
+    return tuple(out)
+
+
+def is_squarefree(n: int) -> bool:
+    return n >= 1 and all(e == 1 for _, e in factorize(n))
+
+
+def squarefree_decompose(n: int) -> tuple[int, int]:
+    """Write n = n0 * m^2 with n0 squarefree; returns (n0, m)."""
+    n0, m = 1, 1
+    for p, e in factorize(n):
+        n0 *= p ** (e % 2)
+        m *= p ** (e // 2)
+    return n0, m
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -177,7 +162,7 @@ def r3_prim(n: int) -> int:
     n0, m = squarefree_decompose(n)
     if m % 2 == 1:
         val = Fraction(r3(n0) * m)
-        for p in prime_factors(m):
+        for p, _ in factorize(m):
             val *= 1 - Fraction(legendre_symbol(-n0, p), p)
         if val != brute:
             raise ArithmeticError(
@@ -222,15 +207,10 @@ def _exp_ef(p: int, n: int) -> int:
     return 2 if n % p == 0 else 1
 
 
-def _divisors_of(f: int, primes: list[int]) -> list[tuple[int, int]]:
+def _divisors_of(f: int) -> list[tuple[int, int]]:
     """(divisor, number of distinct prime factors) pairs for all c | f."""
     divs = [(1, 0)]
-    for p in primes:
-        e = 0
-        ff = f
-        while ff % p == 0:
-            ff //= p
-            e += 1
+    for p, e in factorize(f):
         divs = [(d * p ** k, w + (1 if k else 0))
                 for d, w in divs for k in range(e + 1)]
     return divs
@@ -240,10 +220,10 @@ def f_sum(d0: int, f: int) -> Fraction:
     """f^2 times the divisor sum over c | f in the closed-form count."""
     if f < 1 or f % 2 == 0:
         raise ValueError("square part must be a positive odd integer")
-    primes = prime_factors(f)
+    primes = [p for p, _ in factorize(f)]
     eps = {p: legendre_symbol(-d0, p) for p in primes}
     total = Fraction(0)
-    for c, omega in _divisors_of(f, primes):
+    for c, omega in _divisors_of(f):
         term = Fraction(2 ** omega, c)
         fc = f // c
         for p in primes:

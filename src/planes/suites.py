@@ -35,7 +35,7 @@ def check_r24(dmax: int = 500) -> dict:
             continue
         if formula != oracle:
             failures.append({"d": d, "formula": formula, "oracle": oracle})
-        admissible = d % 16 not in (0, 7, 12, 15)
+        admissible = repnum.is_admissible_disc(d)
         if admissible != (oracle > 0):
             failures.append({"d": d, "admissible": admissible, "count": oracle})
     return _report("r24", failures[:20], {"dmax": dmax, "checked": dmax})

@@ -70,6 +70,8 @@ def test_count_csv_format(capsys):
 
 def test_usage_errors(capsys):
     assert run(capsys, "count", "--disc", "0")[0] == 2
+    assert run(capsys, "enumerate", "--disc", "-3")[0] == 2
+    assert run(capsys, "klein", "--disc", "0")[0] == 2
     assert run(capsys, "count")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
@@ -86,7 +88,8 @@ def test_usage_errors(capsys):
 def test_count_nonpositive_reports_reason(capsys):
     code, _, err = run(capsys, "count", "--disc", "-3")
     assert code == 2
-    assert err.startswith("error:")
+    assert err.endswith("error: argument --disc: "
+                        "expected a positive integer, got '-3'\n")
 
 
 def test_enumerate_norm_one(capsys):

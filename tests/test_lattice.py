@@ -18,6 +18,7 @@ from planes.lattice import (
     Plane,
     PluckerVector,
     enumerate_planes,
+    hnf_rows,
     integer_kernel,
     orth_complement,
     plucker_of_basis,
@@ -176,6 +177,24 @@ def test_integer_kernel_is_orthogonal_and_saturated(u, v):
     if len(ker) == 2:
         assert plucker_of_basis(*ker).is_primitive
 
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_integer_kernel_rank_is_the_nullity(data):
+    """A kernel that drops or adds a row can stay orthogonal and saturated;
+    its rank must be ncols - rank(M), dependent rows included."""
+    ncols = data.draw(st.sampled_from((3, 4)))
+    row = st.lists(st.integers(min_value=-4, max_value=4),
+                   min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(row, min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        # a last row that is an integer combination of the first two
+        k = data.draw(st.lists(st.integers(min_value=-3, max_value=3),
+                               min_size=2, max_size=2))
+        rows = rows[:2] + [[sum(c * r[j] for c, r in zip(k, rows))
+                            for j in range(ncols)]]
+    assert len(integer_kernel(rows)) == ncols - len(hnf_rows(rows))
 
 # sha256 of the rows of norms 1..256, concatenated as int64 in C order,
 # recorded from the enumerators that solved each leading case separately

@@ -312,6 +312,30 @@ def test_odd_primes_upto():
     assert odd_primes_upto(30)[-1] == 29
 
 
+def _factor_from_definition(kind: int, q: int, w: int) -> Fraction:
+    """`mds._local_factor` from `q_local`, evaluated in Fractions at p = q
+    and y = q^(1-w); kind 0 is the odd part at x1 = x2 = 1/q, over y."""
+    x, y = Fraction(kind or 1, q), Fraction(1, q ** (w - 1))
+    rf = q_local(divides=True) if kind == 0 else q_local(False, eps=kind)
+    at = {"p": Fraction(q), "y": y, "x1": x, "x2": x}
+    value = rf.num.evaluate(at) / math.prod(f.evaluate(at) for f in rf.den)
+    return value / y if kind == 0 else value
+
+
+@pytest.mark.parametrize("w", [3, 4])
+def test_local_factor_is_q_local(w):
+    """The float hot path hand-copies H; tie it to its exact definition.
+    Kind 0 takes a difference H(y) - H(-y) that cancels, so the bound is
+    1e-8 relative rather than a few ulps."""
+    primes = odd_primes_upto(10 ** 4)
+    cases = [(kind, q) for q in odd_primes_upto(300) for kind in (-1, 0, 1)]
+    cases += [(kind, q) for q in primes[::40] + primes[-1:] for kind in (-1, 1)]
+    for kind, q in cases:
+        exact = _factor_from_definition(kind, q, w)
+        got = mds._local_factor(kind, q, float(w))
+        assert abs(got - float(exact)) <= 1e-8 * abs(exact), (kind, q)
+
+
 def test_identity_numeric_coarse():
     report = rs3_identity_numeric(4.0, 3)
     assert report["detail"]["rel_diff"] < 1e-2

@@ -1,5 +1,6 @@
 """Checks in the package must not vanish under `python -O`, every import
-of a module must be used, and every private helper must be read."""
+of a module must be used, every private helper must be read, and no module
+reaches into another's private names."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,33 @@ def test_package_reads_every_private_helper():
               and node.name.startswith("_") and not node.name.startswith("__")
               and node.name not in read]
     assert SOURCES and not unread, f"private helpers no package code reads: {unread}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a helper two modules share is public; `from planes import lattice`
+    # then `lattice._x`, or `from planes.lattice import _x`, is a leak
+    leaks = []
+    for path in SOURCES:
+        tree = _tree(path)
+        modules = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = "." * node.level + (node.module or "")
+            if not source.startswith(("planes", ".")):
+                continue
+            for alias in node.names:
+                if _private(alias.name):
+                    leaks.append(f"{path.name}:{node.lineno}:{alias.name}")
+                elif source in ("planes", "."):
+                    modules.add(alias.asname or alias.name)
+        leaks += [f"{path.name}:{node.lineno}:{node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and _private(node.attr)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules]
+    assert SOURCES and not leaks, f"private names read across modules: {leaks}"

@@ -12,12 +12,12 @@ from planes.repnum import (
     RepDecomposition,
     decompose,
     f_sum,
+    factorize,
     is_admissible_disc,
     is_squarefree,
     kronecker_symbol,
     legendre_symbol,
     legendre_symbols,
-    prime_factors,
     r3,
     r3_prim,
     r24_formula,
@@ -74,10 +74,12 @@ def test_is_squarefree_edges():
     assert is_squarefree(30)
 
 
-def test_prime_factors():
-    assert prime_factors(1) == []
-    assert prime_factors(360) == [2, 3, 5]
-    assert prime_factors(97) == [97]
+def test_factorize():
+    assert factorize(1) == ()
+    assert factorize(360) == ((2, 3), (3, 2), (5, 1))
+    assert factorize(97) == ((97, 1),)
+    with pytest.raises(ValueError):
+        factorize(0)
 
 
 @given(st.integers(min_value=-50, max_value=50), st.sampled_from(ODD_PRIMES))
@@ -99,7 +101,7 @@ def test_legendre_symbols_are_the_scalar_symbols():
     """Every odd prime below 10^4, against d0 that several of them divide,
     one at the top of the range and one past int32; and the largest prime
     below 2^31, where the squares come closest to int64."""
-    primes = [q for q in range(3, 10 ** 4, 2) if prime_factors(q) == [q]]
+    primes = [q for q in range(3, 10 ** 4, 2) if factorize(q) == ((q, 1),)]
     for d0 in (1, 3, 7, 19, 35, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 9973,
                9967 * 9973, 2 ** 40 + 3):
         for a in (-d0, d0):
