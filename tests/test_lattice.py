@@ -178,7 +178,6 @@ def test_integer_kernel_is_orthogonal_and_saturated(u, v):
         assert plucker_of_basis(*ker).is_primitive
 
 
-
 @given(st.data())
 @settings(max_examples=80)
 def test_integer_kernel_rank_is_the_nullity(data):
@@ -195,6 +194,7 @@ def test_integer_kernel_rank_is_the_nullity(data):
         rows = rows[:2] + [[sum(c * r[j] for c, r in zip(k, rows))
                             for j in range(ncols)]]
     assert len(integer_kernel(rows)) == ncols - len(hnf_rows(rows))
+
 
 # sha256 of the rows of norms 1..256, concatenated as int64 in C order,
 # recorded from the enumerators that solved each leading case separately
