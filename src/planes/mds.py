@@ -12,9 +12,10 @@ shape.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -37,6 +38,13 @@ class MultiPoly:
             if c:
                 clean[tuple(exp)] = c
         self.terms = clean
+
+    @staticmethod
+    def _of(terms: dict) -> "MultiPoly":
+        """Wrap a dict of nonzero Fraction terms without re-cleaning it."""
+        res = MultiPoly.__new__(MultiPoly)
+        res.terms = terms
+        return res
 
     @staticmethod
     def const(c) -> "MultiPoly":
@@ -72,16 +80,12 @@ class MultiPoly:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = out
-        return res
+        return MultiPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return MultiPoly._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -95,9 +99,7 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return MultiPoly({})
-            res = MultiPoly.__new__(MultiPoly)
-            res.terms = {e: c * other for e, c in self.terms.items()}
-            return res
+            return MultiPoly._of({e: c * other for e, c in self.terms.items()})
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -107,9 +109,7 @@ class MultiPoly:
                     out[exp] = s
                 else:
                     out.pop(exp, None)
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = out
-        return res
+        return MultiPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -146,16 +146,12 @@ class MultiPoly:
                 out[ne] = s
             else:
                 out.pop(ne, None)
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = out
-        return res
+        return MultiPoly._of(out)
 
     def truncate(self, caps: dict) -> "MultiPoly":
         idx = [(_IDX[v], m) for v, m in caps.items()]
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = {e: c for e, c in self.terms.items()
-                     if all(e[i] <= m for i, m in idx)}
-        return res
+        return MultiPoly._of({e: c for e, c in self.terms.items()
+                              if all(e[i] <= m for i, m in idx)})
 
     def coefficient(self, **exps) -> "MultiPoly":
         """Terms matching the given exponents exactly, with those
@@ -166,9 +162,7 @@ class MultiPoly:
             if all(e[i] == k for i, k in idx.items()):
                 ne = tuple(0 if i in idx else e[i] for i in range(4))
                 out[ne] = c
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = out
-        return res
+        return MultiPoly._of(out)
 
     def evaluate(self, assign: dict):
         vals = [assign[v] for v in VARS]
@@ -224,6 +218,11 @@ class RationalFn:
             self.num.subst_monomial(var, coeff, exps),
             tuple(f.subst_monomial(var, coeff, exps) for f in self.den),
         )
+
+    def evaluate(self, assign: dict):
+        """num / den at the point assign, as `MultiPoly.evaluate` takes it."""
+        return (self.num.evaluate(assign)
+                / math.prod(f.evaluate(assign) for f in self.den))
 
     def den_product(self) -> MultiPoly:
         out = ONE
@@ -522,37 +521,16 @@ def _zeta2_euler(s: float, primes: list[int]) -> float:
     return out
 
 
-def _h_value(x1: float, x2: float, yv: float, pv: float) -> float:
-    num = (1 - x1 * yv - x2 * yv + x1 * x2 * yv + pv * x1 * x2 * yv ** 2
-           - pv * x1 * x2 ** 2 * yv ** 2 - pv * x1 ** 2 * x2 * yv ** 2
-           + pv * x1 ** 2 * x2 ** 2 * yv ** 3)
-    den = ((1 - x1) * (1 - x2) * (1 - yv)
-           * (1 - pv * x1 ** 2 * yv ** 2) * (1 - pv * x2 ** 2 * yv ** 2)
-           * (1 - pv ** 2 * x1 ** 2 * x2 ** 2 * yv ** 2))
-    return num / den
-
-
-@lru_cache(maxsize=1 << 16)
-def _local_factor(kind: int, q: int, w: float) -> float:
-    """The factor of `q_value` at q, which depends on d0 only through
-    kind, the symbol (-d0 | q): 0 where q | d0, else +-1."""
-    yv = q ** (-(w - 1))
-    if kind == 0:
-        x = 1.0 / q
-        odd = 0.5 * (_h_value(x, x, yv, q) - _h_value(x, x, -yv, q))
-        # q accounts for one odd power of d0, so the odd part counts
-        # p-powers of d rather than d/d0; strip that q^(1-w)
-        return odd / yv
-    x = kind / q
-    return 0.5 * (_h_value(x, x, yv, q) + _h_value(x, x, -yv, q)) * (1 - x) ** 2
-
-
-def q_value(d0: int, s: float, primes: list[int]) -> float:
-    """Euler product of the even/odd H parts at x = eps/p, truncated."""
-    out = 1.0
-    for q, kind in zip(primes, repnum.legendre_symbols(-d0, primes).tolist()):
-        out *= _local_factor(kind, q, s + 1)
-    return out
+@cache
+def local_factors() -> dict[int, RationalFn]:
+    """The Euler factor of the global identity at a prime p, by kind, the
+    symbol (-d0 | p), as a function of p and y = p^(1-w): the even part
+    of `q_local` at x1 = x2 = kind/p for kind +-1, and for kind 0 (p | d0)
+    the odd part at x1 = x2 = 1/p, over y, since p accounts for one odd
+    power of d0: the odd part counts p-powers of d, not of d/d0."""
+    odd = q_local(True).subst("x1", 1, {"p": -1}).subst("x2", 1, {"p": -1})
+    return {1: q_local(False, 1), -1: q_local(False, -1),
+            0: RationalFn(odd.num * MultiPoly.monomial(1, y=-1), odd.den)}
 
 
 # relative gap between the truncated sides below which the identity passes;
@@ -573,7 +551,14 @@ def rs3_identity_numeric(w: float, dmax: int, prime_cutoff: int = 10 ** 4) -> di
         raise ValueError("need a finite w > 2 for convergence")
     if dmax < 3:
         raise ValueError("need dmax >= 3: no coefficient enters below d = 3")
+    if 3.0 ** -w < sys.float_info.min:
+        raise ValueError(f"w = {w} is too large: the weight 3^-w of the "
+                         "first coefficient underflows")
     primes = odd_primes_upto(prime_cutoff)
+    q = np.array(primes, dtype=np.float64)
+    # the factors hold no x1, x2; row kind + 1 is the factor of each prime
+    at = {"p": q, "y": q ** (1 - w), "x1": 0.0, "x2": 0.0}
+    factors = np.stack([local_factors()[kind].evaluate(at) for kind in (-1, 0, 1)])
     count_sum = sum(r * d ** (-w) for d, r in repnum.rs3_coeffs(dmax).items())
     lhs = (math.pi ** 2 / 128) * _zeta2_euler(2 * w, primes) \
         * _zeta2_euler(2 * w - 1, primes) * count_sum
@@ -581,7 +566,9 @@ def rs3_identity_numeric(w: float, dmax: int, prime_cutoff: int = 10 ** 4) -> di
     for d0 in range(3, dmax + 1, 8):
         if not repnum.is_squarefree(d0):
             continue
-        rhs += repnum.r3(d0) ** 2 * d0 ** (-w) * q_value(d0, w - 1, primes)
+        kinds = repnum.legendre_symbols(-d0, primes)
+        euler = float(np.prod(np.choose(kinds + 1, factors)))
+        rhs += repnum.r3(d0) ** 2 * d0 ** (-w) * euler
     rhs *= (9 / 4) * (math.pi ** 2 / 576)
     rel = abs(lhs - rhs) / max(lhs, rhs)
     return {"check": "global-identity",

@@ -83,6 +83,8 @@ def test_usage_errors(capsys):
     assert run(capsys, "verify", "global-identity", "--w", "nan")[0] == 2
     assert run(capsys, "verify", "global-identity", "--dmax", "2")[0] == 2
     assert run(capsys, "series", "--dmax", "2")[0] == 2
+    assert run(capsys, "series", "--w", "700")[0] == 2
+    assert run(capsys, "verify", "global-identity", "--w", "700")[0] == 2
 
 
 def test_count_nonpositive_reports_reason(capsys):

@@ -313,32 +313,40 @@ def test_odd_primes_upto():
 
 
 def _factor_from_definition(kind: int, q: int, w: int) -> Fraction:
-    """`mds._local_factor` from `q_local`, evaluated in Fractions at p = q
+    """The Euler factor at q from `q_local`, evaluated in Fractions at p = q
     and y = q^(1-w); kind 0 is the odd part at x1 = x2 = 1/q, over y."""
     x, y = Fraction(kind or 1, q), Fraction(1, q ** (w - 1))
     rf = q_local(divides=True) if kind == 0 else q_local(False, eps=kind)
-    at = {"p": Fraction(q), "y": y, "x1": x, "x2": x}
-    value = rf.num.evaluate(at) / math.prod(f.evaluate(at) for f in rf.den)
+    value = rf.evaluate({"p": Fraction(q), "y": y, "x1": x, "x2": x})
     return value / y if kind == 0 else value
 
 
-@pytest.mark.parametrize("w", [3, 4])
+@pytest.mark.parametrize("w", [3, 4, 10, 30, 90])
 def test_local_factor_is_q_local(w):
-    """The float hot path hand-copies H; tie it to its exact definition.
-    Kind 0 takes a difference H(y) - H(-y) that cancels, so the bound is
-    1e-8 relative rather than a few ulps."""
+    """`local_factors` evaluated in floats over an array of primes, as the
+    numeric identity evaluates it, against the exact definition."""
     primes = odd_primes_upto(10 ** 4)
     cases = [(kind, q) for q in odd_primes_upto(300) for kind in (-1, 0, 1)]
     cases += [(kind, q) for q in primes[::40] + primes[-1:] for kind in (-1, 1)]
-    for kind, q in cases:
+    qs = np.array([q for _, q in cases], dtype=np.float64)
+    at = {"p": qs, "y": qs ** (1 - w), "x1": 0.0, "x2": 0.0}
+    got = {kind: mds.local_factors()[kind].evaluate(at) for kind in (-1, 0, 1)}
+    for i, (kind, q) in enumerate(cases):
         exact = _factor_from_definition(kind, q, w)
-        got = mds._local_factor(kind, q, float(w))
-        assert abs(got - float(exact)) <= 1e-8 * abs(exact), (kind, q)
+        assert abs(got[kind][i] - float(exact)) <= 2e-15 * abs(exact), (kind, q)
 
 
 def test_identity_numeric_coarse():
     report = rs3_identity_numeric(4.0, 3)
     assert report["detail"]["rel_diff"] < 1e-2
+
+
+@pytest.mark.parametrize("w", [10.0, 30.0, 90.0, 600.0])
+def test_identity_numeric_holds_at_large_w(w):
+    """At large w the d0 = 3 term dominates and y = q^(1-w) is tiny; the
+    factors must not lose it to cancellation or underflow."""
+    report = rs3_identity_numeric(w, 200)
+    assert report["status"] == "pass", report["detail"]
 
 
 def test_identity_numeric_rejects_small_w():
@@ -350,3 +358,5 @@ def test_identity_numeric_rejects_small_w():
         rs3_identity_numeric(math.inf, 100)
     with pytest.raises(ValueError):
         rs3_identity_numeric(math.nan, 100)
+    with pytest.raises(ValueError):
+        rs3_identity_numeric(700.0, 100)

@@ -23,5 +23,7 @@ def test_genus_survey_matches_the_prediction():
 
 
 def test_identity_convergence_sweep():
-    out = _run_script("identity_convergence.py", "--cutoff", "100")
+    out = _run_script("identity_convergence.py", "--w", "30", "--cutoff", "100")
     assert "prime cutoff = 100" in out
+    # at w = 30 the d = 3 terms dominate; the Euler factors must keep them
+    assert float(out.splitlines()[-1].split()[-1]) < 1e-4
