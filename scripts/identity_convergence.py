@@ -25,7 +25,7 @@ def main() -> None:
     print(f"w = {args.w}, prime cutoff = {args.cutoff}")
     print(f"{'dmax':>6}  {'lhs':>20}  {'rhs':>20}  {'rel gap':>10}")
     for dmax in DMAX_STEPS:
-        detail = rs3_identity_numeric(args.w, dmax, args.cutoff)["detail"]
+        detail = rs3_identity_numeric(args.w, dmax, args.cutoff)
         print(f"{dmax:>6}  {detail['lhs']:>20.12g}  {detail['rhs']:>20.12g}"
               f"  {detail['rel_diff']:>10.3g}")
 

@@ -17,7 +17,7 @@ import io
 import json
 import sys
 
-from . import klein, lattice, mds, qform, repnum, suites
+from . import klein, lattice, qform, repnum, suites
 from .repnum import OracleMismatchError
 
 _PLUCKER_COLS = ("p12", "p13", "p14", "p23", "p24", "p34")
@@ -155,7 +155,7 @@ def _cmd_classgroup(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_series(args: argparse.Namespace) -> tuple[dict, int]:
     coeffs = repnum.rs3_coeffs(args.dmax)
-    identity = mds.rs3_identity_numeric(args.w, args.dmax, args.prime_cutoff)
+    identity = suites.check_global_identity(args.w, args.dmax, args.prime_cutoff)
     payload = {"dmax": args.dmax, "w": args.w,
                "coefficients": [[d, v] for d, v in coeffs.items()],
                "identity": identity}

@@ -7,6 +7,9 @@ polynomial GCDs are ever needed.  Series expansion inverts each factor
 as a geometric series, which requires the factor to be monomial + higher
 order terms in the capped variables; every denominator here has that
 shape.
+
+The identity checks at the bottom return only what they computed;
+`planes.suites` applies the tolerances and builds the reports.
 """
 
 from __future__ import annotations
@@ -301,10 +304,9 @@ def h_series(kmax: int, lmax: int, mmax: int) -> SeriesTable:
     return SeriesTable(h_fn().series(caps), tuple(sorted(caps.items())))
 
 
-def q_local(divides: bool, eps: int | None = None) -> RationalFn:
+def q_local(divides: bool) -> RationalFn:
     """Even (p not dividing) or odd (p dividing) part of H in y, the even
-    case carrying the extra (1-x1)(1-x2).  With eps = +-1 the variables
-    x1, x2 are specialized to eps/p."""
+    case carrying the extra (1-x1)(1-x2)."""
     h = h_fn()
     num_plus = h.num * (ONE + Y)
     num_minus = h.num.subst_monomial("y", -1, {"y": 1}) * (ONE - Y)
@@ -312,18 +314,10 @@ def q_local(divides: bool, eps: int | None = None) -> RationalFn:
               ONE - P * X1 ** 2 * Y ** 2, ONE - P * X2 ** 2 * Y ** 2,
               ONE - P ** 2 * X1 ** 2 * X2 ** 2 * Y ** 2)
     if divides:
-        if eps not in (None, 0):
-            raise ValueError("the dividing case has no sign to choose")
         num = (num_plus - num_minus) * Fraction(1, 2)
-        out = RationalFn(num, (ONE - X1, ONE - X2) + shared)
-        return out
-    if eps not in (None, 1, -1):
-        raise ValueError("eps must be +1 or -1 in the non-dividing case")
+        return RationalFn(num, (ONE - X1, ONE - X2) + shared)
     num = (num_plus + num_minus) * Fraction(1, 2)
-    out = RationalFn(num, shared)
-    if eps is not None:
-        out = out.subst("x1", eps, {"p": -1}).subst("x2", eps, {"p": -1})
-    return out
+    return RationalFn(num, shared)
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +376,8 @@ def closed_local(eps: int) -> RationalFn:
 
 def local_identity_sides(eps: int) -> tuple[RationalFn, RationalFn]:
     """The two sides of the local identity in case eps: lhs_local against
-    the matching part of H at y -> py."""
-    lhs = lhs_local(eps)
-    q = q_local(divides=(eps == 0), eps=eps if eps else None)
-    if eps == 0:
-        q = q.subst("x1", 1, {"p": -1}).subst("x2", 1, {"p": -1})
-        # a dividing prime rides along with d0 itself: the odd part
-        # counts p-powers of d, not of d/d0, so it carries one extra
-        # power p^(1-w).  Fold py into the left side before comparing.
-        lhs = RationalFn(lhs.num * MultiPoly.monomial(1, p=1, y=1), lhs.den)
-    return lhs, q.subst("y", 1, {"p": 1, "y": 1})
+    the Euler factor of kind eps (`local_factors`) at y -> py."""
+    return lhs_local(eps), local_factors()[eps].subst("y", 1, {"p": 1, "y": 1})
 
 
 _NUMERIC_PRIMES = (3, 5, 7, 11, 13)
@@ -407,41 +393,32 @@ def _first_diff(lhs: RationalFn, rhs: RationalFn) -> str:
     return repr(MultiPoly({e: c}))
 
 
-def verify_local_identity(order: int = _SERIES_ORDER) -> dict:
+def verify_local_identity(order: int = _SERIES_ORDER) -> list[dict]:
     """Exact three-case check of the local factor identity, plus numeric
-    series confirmation at small primes."""
+    series confirmation at small primes: one record per case eps."""
     if order < 2:
         raise ValueError("series order must be at least 2")
     cases = []
-    ok_all = True
     for eps in (1, -1, 0):
-        closed = rf_equal(lhs_local(eps), closed_local(eps))
         lhs, rhs = local_identity_sides(eps)
-        symbolic = rf_equal(lhs, rhs)
-        numeric = {}
-        for pv in _NUMERIC_PRIMES:
-            ls = lhs.subst("p", pv).series({"y": order})
-            rs = rhs.subst("p", pv).series({"y": order})
-            numeric[pv] = ls == rs
-        case_ok = symbolic and closed and all(numeric.values())
         entry = {
             "eps": eps,
-            "symbolic": symbolic,
-            "closed_form": closed,
-            "numeric_primes": {str(k): v for k, v in numeric.items()},
+            "symbolic": rf_equal(lhs, rhs),
+            "closed_form": rf_equal(lhs_local(eps), closed_local(eps)),
+            "numeric_primes": {
+                str(pv): lhs.subst("p", pv).series({"y": order})
+                == rhs.subst("p", pv).series({"y": order})
+                for pv in _NUMERIC_PRIMES},
         }
-        if not symbolic:
+        if not entry["symbolic"]:
             entry["mismatching_term"] = _first_diff(lhs, rhs)
-        ok_all = ok_all and case_ok
         cases.append(entry)
-    return {"check": "local-identity",
-            "status": "pass" if ok_all else "fail",
-            "detail": {"cases": cases}}
+    return cases
 
 
-def f_sum_check(d0: int, fmax: int = 99) -> dict:
+def f_sum_check(d0: int, fmax: int = 99) -> list[dict]:
     """The divisor-sum values against the Euler product of p_local,
-    coefficient by coefficient over odd f."""
+    coefficient by coefficient over odd f: the odd f where they differ."""
     if d0 % 4 != 3 or not repnum.is_squarefree(d0):
         raise ValueError("need squarefree d0 = 3 mod 4")
     series_cache: dict[int, MultiPoly] = {}
@@ -458,9 +435,7 @@ def f_sum_check(d0: int, fmax: int = 99) -> dict:
                                    "x1": Fraction(0), "x2": Fraction(0)})
         if lhs != rhs:
             mismatches.append({"f": f, "divisor_sum": str(lhs), "euler": str(rhs)})
-    return {"check": "p-local",
-            "status": "pass" if not mismatches else "fail",
-            "detail": {"d0": d0, "fmax": fmax, "mismatches": mismatches}}
+    return mismatches
 
 
 def _max_pow(fmax: int) -> int:
@@ -482,8 +457,8 @@ def l_value_check(d0: int, terms: int = 10 ** 6) -> dict:
     """Character-sum evaluation of L(1, chi_{-d0}) against the closed form
     pi * r3(d0) / (24 sqrt(d0)).  The tail is handled by averaging the
     partial character sums over one period, so the error is far below
-    the 1e-6 budget already at 10^6 terms.  The head is summed in chunks
-    of _L_CHUNK terms, so memory does not grow with terms."""
+    the l-value suite's 1e-6 budget already at 10^6 terms.  The head is
+    summed in chunks of _L_CHUNK terms, so memory does not grow with terms."""
     if d0 <= 3 or d0 % 8 != 3 or not repnum.is_squarefree(d0):
         raise ValueError("need squarefree d0 = 3 mod 8, d0 > 3")
     chi = np.array([repnum.kronecker_symbol(-d0, a) for a in range(d0)],
@@ -496,11 +471,8 @@ def l_value_check(d0: int, terms: int = 10 ** 6) -> dict:
     tail_mean = (0.0 + float(partial.sum())) / d0
     lhs = head + tail_mean / (terms + 1)
     rhs = math.pi * repnum.r3(d0) / (24 * math.sqrt(d0))
-    diff = abs(lhs - rhs)
-    return {"check": "l-value",
-            "status": "pass" if diff < 1e-6 else "fail",
-            "detail": {"d0": d0, "character_sum": lhs,
-                       "closed_form": rhs, "abs_diff": diff}}
+    return {"d0": d0, "character_sum": lhs, "closed_form": rhs,
+            "abs_diff": abs(lhs - rhs)}
 
 
 def odd_primes_upto(limit: int) -> list[int]:
@@ -528,18 +500,18 @@ def local_factors() -> dict[int, RationalFn]:
     of `q_local` at x1 = x2 = kind/p for kind +-1, and for kind 0 (p | d0)
     the odd part at x1 = x2 = 1/p, over y, since p accounts for one odd
     power of d0: the odd part counts p-powers of d, not of d/d0."""
-    odd = q_local(True).subst("x1", 1, {"p": -1}).subst("x2", 1, {"p": -1})
-    return {1: q_local(False, 1), -1: q_local(False, -1),
-            0: RationalFn(odd.num * MultiPoly.monomial(1, y=-1), odd.den)}
+    at = {kind: q_local(kind == 0).subst("x1", kind or 1, {"p": -1})
+          .subst("x2", kind or 1, {"p": -1}) for kind in (1, -1, 0)}
+    return at | {0: RationalFn(at[0].num * MultiPoly.monomial(1, y=-1), at[0].den)}
 
 
-# relative gap between the truncated sides below which the identity passes;
-# scripts/identity_convergence.py prints how the gap shrinks with dmax
-RTOL = 1e-4
+# the sieve behind the Euler products takes prime_cutoff + 1 bytes, and
+# every odd prime below it is a Python int; refuse a cutoff past this first
+PRIME_CUTOFF_MAX = 10 ** 7
 
 
 def rs3_identity_numeric(w: float, dmax: int, prime_cutoff: int = 10 ** 4) -> dict:
-    """Both sides of the assembled identity, truncated and compared.
+    """Both sides of the assembled identity, truncated, and their gap.
 
     Left: the plane-count series over d = 3 mod 4 times the odd-prime
     zeta factors; the constant is pi^2/128 because the d = 3 mod 4
@@ -551,6 +523,8 @@ def rs3_identity_numeric(w: float, dmax: int, prime_cutoff: int = 10 ** 4) -> di
         raise ValueError("need a finite w > 2 for convergence")
     if dmax < 3:
         raise ValueError("need dmax >= 3: no coefficient enters below d = 3")
+    if prime_cutoff > PRIME_CUTOFF_MAX:
+        raise ValueError(f"prime cutoff {prime_cutoff} is past {PRIME_CUTOFF_MAX}")
     if 3.0 ** -w < sys.float_info.min:
         raise ValueError(f"w = {w} is too large: the weight 3^-w of the "
                          "first coefficient underflows")
@@ -570,8 +544,5 @@ def rs3_identity_numeric(w: float, dmax: int, prime_cutoff: int = 10 ** 4) -> di
         euler = float(np.prod(np.choose(kinds + 1, factors)))
         rhs += repnum.r3(d0) ** 2 * d0 ** (-w) * euler
     rhs *= (9 / 4) * (math.pi ** 2 / 576)
-    rel = abs(lhs - rhs) / max(lhs, rhs)
-    return {"check": "global-identity",
-            "status": "pass" if rel < RTOL else "fail",
-            "detail": {"w": w, "dmax": dmax, "prime_cutoff": prime_cutoff,
-                       "lhs": lhs, "rhs": rhs, "rel_diff": rel}}
+    return {"w": w, "dmax": dmax, "prime_cutoff": prime_cutoff,
+            "lhs": lhs, "rhs": rhs, "rel_diff": abs(lhs - rhs) / max(lhs, rhs)}

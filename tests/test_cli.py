@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from planes import suites
+from planes import mds, suites
 from planes.cli import _build_parser, cmd_dispatch
 
 
@@ -173,6 +173,17 @@ def test_verify_single_suite(capsys):
     payload = json.loads(out)
     assert payload["check"] == "r24" and payload["status"] == "pass"
     assert payload["detail"]["dmax"] == 60
+
+
+def test_series_refuses_a_large_prime_cutoff_before_the_sieve(capsys, monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"sieve to {limit} allocated")
+
+    monkeypatch.setattr(mds, "odd_primes_upto", refuse)
+    for cutoff in (mds.PRIME_CUTOFF_MAX + 1, 2 ** 31 - 1):
+        code, out, err = run(capsys, "series", "--prime-cutoff", str(cutoff))
+        assert code == 2 and out == ""
+        assert "prime cutoff" in err
 
 
 def test_verify_local_identity_order_flag(capsys):

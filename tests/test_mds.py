@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from planes import mds, repnum
+from planes import mds, repnum, suites
 from planes.mds import (
     ONE,
     P,
@@ -154,13 +154,6 @@ def test_q_local_even_part_is_one_at_y_zero():
     assert q.series({"x1": 0, "x2": 0, "y": 0}) == ONE
 
 
-def test_q_local_argument_validation():
-    with pytest.raises(ValueError):
-        q_local(divides=True, eps=1)
-    with pytest.raises(ValueError):
-        q_local(divides=False, eps=0)
-
-
 # ---------------------------------------------------------------------------
 # local square-part series
 
@@ -200,9 +193,7 @@ def test_closed_local_agrees_with_lhs(eps):
 
 
 def test_local_identity_passes():
-    report = verify_local_identity()
-    assert report["status"] == "pass"
-    cases = {c["eps"]: c for c in report["detail"]["cases"]}
+    cases = {c["eps"]: c for c in verify_local_identity()}
     assert set(cases) == {1, -1, 0}
     for c in cases.values():
         assert c["symbolic"] and c["closed_form"]
@@ -211,7 +202,8 @@ def test_local_identity_passes():
 
 
 def test_local_identity_small_order():
-    assert verify_local_identity(order=4)["status"] == "pass"
+    assert all(c["symbolic"] and c["closed_form"] and all(c["numeric_primes"].values())
+               for c in verify_local_identity(order=4))
     with pytest.raises(ValueError):
         verify_local_identity(order=1)
 
@@ -234,8 +226,8 @@ def test_local_identity_failure_names_the_lowest_wrong_term(monkeypatch, term, e
         return lhs, rhs
 
     monkeypatch.setattr(mds, "local_identity_sides", perturbed)
-    report = verify_local_identity(order=4)
-    assert report["status"] == "fail"
+    report = suites.check_local_identity(order=4)
+    assert report["status"] == "fail" and report["detail"]["failures"] == [-1]
     cases = {c["eps"]: c for c in report["detail"]["cases"]}
     assert cases[-1]["mismatching_term"] == expected
     assert not cases[-1]["symbolic"]
@@ -249,9 +241,7 @@ def test_local_identity_failure_names_the_lowest_wrong_term(monkeypatch, term, e
 
 @pytest.mark.parametrize("d0", [3, 11, 19])
 def test_f_sum_check(d0):
-    report = f_sum_check(d0, fmax=99)
-    assert report["status"] == "pass"
-    assert report["detail"]["mismatches"] == []
+    assert f_sum_check(d0, fmax=99) == []
 
 
 def test_f_sum_check_validation():
@@ -266,9 +256,9 @@ def test_f_sum_check_validation():
 
 
 def test_l_value_check_small():
-    report = l_value_check(11, terms=10 ** 5)
-    assert report["status"] == "pass"
-    assert report["detail"]["closed_form"] == pytest.approx(
+    values = l_value_check(11, terms=10 ** 5)
+    assert values["abs_diff"] < suites.L_VALUE_ATOL
+    assert values["closed_form"] == pytest.approx(
         math.pi / math.sqrt(11))
 
 
@@ -282,7 +272,7 @@ def test_l_value_chunked_sum_matches_one_shot(d0):
     partial = np.cumsum(chi[(terms + 1 + np.arange(d0 - 1)) % d0])
     one_shot = (float(np.sum(chi[n % d0] / n))
                 + float(partial.sum()) / d0 / (terms + 1))
-    chunked = l_value_check(d0, terms)["detail"]["character_sum"]
+    chunked = l_value_check(d0, terms)["character_sum"]
     assert chunked == pytest.approx(one_shot, abs=1e-12)
 
 
@@ -316,7 +306,7 @@ def _factor_from_definition(kind: int, q: int, w: int) -> Fraction:
     """The Euler factor at q from `q_local`, evaluated in Fractions at p = q
     and y = q^(1-w); kind 0 is the odd part at x1 = x2 = 1/q, over y."""
     x, y = Fraction(kind or 1, q), Fraction(1, q ** (w - 1))
-    rf = q_local(divides=True) if kind == 0 else q_local(False, eps=kind)
+    rf = q_local(divides=(kind == 0))
     value = rf.evaluate({"p": Fraction(q), "y": y, "x1": x, "x2": x})
     return value / y if kind == 0 else value
 
@@ -337,16 +327,15 @@ def test_local_factor_is_q_local(w):
 
 
 def test_identity_numeric_coarse():
-    report = rs3_identity_numeric(4.0, 3)
-    assert report["detail"]["rel_diff"] < 1e-2
+    assert rs3_identity_numeric(4.0, 3)["rel_diff"] < 1e-2
 
 
 @pytest.mark.parametrize("w", [10.0, 30.0, 90.0, 600.0])
 def test_identity_numeric_holds_at_large_w(w):
     """At large w the d0 = 3 term dominates and y = q^(1-w) is tiny; the
     factors must not lose it to cancellation or underflow."""
-    report = rs3_identity_numeric(w, 200)
-    assert report["status"] == "pass", report["detail"]
+    sides = rs3_identity_numeric(w, 200)
+    assert sides["rel_diff"] < suites.IDENTITY_RTOL, sides
 
 
 def test_identity_numeric_rejects_small_w():

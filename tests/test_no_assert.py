@@ -1,6 +1,6 @@
 """Checks in the package must not vanish under `python -O`, every import
-of a module must be used, every private helper must be read, and no module
-reaches into another's private names."""
+of a module must be used, every private helper must be read, no module
+reaches into another's private names, and only `suites` builds reports."""
 
 import ast
 from pathlib import Path
@@ -86,3 +86,15 @@ def test_no_module_reads_another_modules_private_names():
                   and isinstance(node.value, ast.Name)
                   and node.value.id in modules]
     assert SOURCES and not leaks, f"private names read across modules: {leaks}"
+
+
+def test_only_suites_builds_reports():
+    # a report is a dict with a "check" key; the other modules return what
+    # they computed and `suites` judges it
+    built = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "suites.py"
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Dict)
+             and any(isinstance(k, ast.Constant) and k.value == "check"
+                     for k in node.keys)]
+    assert SOURCES and not built, f"report dicts outside suites.py: {built}"

@@ -1,7 +1,9 @@
 """The per-plane suites: the comp-ort norm identity check against the grid
 it replaced, the orth check against the kernel complement it replaced,
-and failures reported rather than raised."""
+and failures reported rather than raised; and the one report shape that
+every suite shares."""
 
+import inspect
 from itertools import product
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planes import klein, lattice, qform, repnum, suites
+from planes import klein, lattice, mds, qform, repnum, suites
 from planes.cli import cmd_dispatch
 from planes.klein import mu_products
 from planes.lattice import (
@@ -258,9 +260,12 @@ def test_gauss_genus_reports_a_sublattice(monkeypatch):
     monkeypatch.setattr(klein, "orthogonal_bases", doubled)
     report = suites.check_gauss_genus(nmax=30)
     assert report["status"] == "fail"
+    # each n gives its form records, in order of n; the report keeps 20
+    assert report["detail"]["failure_count"] > len(report["detail"]["failures"]) == 20
     records = [r for r in report["detail"]["failures"] if "form" in r]
-    assert {r["n"] for r in records} == {
-        n for n in range(1, 31) if n % 4 in (1, 2) and repnum.is_squarefree(n)}
+    seen = sorted({r["n"] for r in records})
+    assert seen == [n for n in range(1, 31)
+                    if n % 4 in (1, 2) and repnum.is_squarefree(n)][:len(seen)]
     assert all(QuadForm(*r["form"]).disc == -16 * r["n"] for r in records)
 
 
@@ -346,3 +351,53 @@ def test_r24_reports_one_moved_plucker_count(monkeypatch):
     report = suites.run_suite("r24", dmax=60)
     assert report["status"] == "fail"
     assert report["detail"]["failures"] == [{"d": 45, "plucker": 769, "klein": 768}]
+
+
+def test_local_identity_rejects_swapped_euler_factor_kinds(monkeypatch):
+    """Kinds +1 and -1 of `mds.local_factors` swapped: the global identity
+    at w = 4 cannot tell, but each side of the local identity can."""
+    factors = mds.local_factors()
+    swapped = {1: factors[-1], -1: factors[1], 0: factors[0]}
+    monkeypatch.setattr(mds, "local_factors", lambda: swapped)
+    report = suites.check_local_identity(order=4)
+    assert report["status"] == "fail"
+    assert report["detail"]["failures"] == [1, -1]
+    assert report["detail"]["failure_count"] == 2
+
+
+# every bound of every suite, small enough for tier-1
+SMALL_BOUNDS = {
+    "r24": {"dmax": 30},
+    "klein": {"nmax": 10},
+    "orth": {"nmax": 10},
+    "local-identity": {"order": 4},
+    "p-local": {"fmax": 15},
+    "class-number": {"dmax": 50},
+    "l-value": {"dmax": 30},
+    "gauss-genus": {"nmax": 30},
+    "comp-ort": {"nmax": 30},
+    "pair-genus": {"nmax": 30},
+    "genus-structure": {"nmax": 30},
+    "global-identity": {"w": 4.0, "dmax": 50, "prime_cutoff": 100},
+}
+
+
+@pytest.mark.parametrize("name", list(suites.SUITES))
+def test_every_report_has_one_shape(name):
+    bounds = SMALL_BOUNDS[name]
+    assert set(bounds) == set(inspect.signature(suites.SUITES[name]).parameters)
+    report = suites.run_suite(name, **bounds)
+    assert set(report) == {"check", "status", "detail"}
+    assert report["check"] == name
+    detail = report["detail"]
+    assert isinstance(detail["failures"], list)
+    assert isinstance(detail["failure_count"], int)
+    assert detail["failure_count"] >= len(detail["failures"])
+    assert {k: detail[k] for k in bounds} == bounds
+
+
+def test_report_keeps_20_failures_and_counts_them_all():
+    report = suites._report("x", list(range(25)), {"nmax": 3})
+    assert report["status"] == "fail"
+    assert report["detail"] == {"nmax": 3, "failures": list(range(20)),
+                                "failure_count": 25}
