@@ -30,32 +30,24 @@ from planes.qform import (
     reduce,
 )
 from planes.repnum import (
-    OracleMismatchError,
     RepDecomposition,
     r3,
-    r3_prim,
     r24_formula,
     r24_oracle,
     rs3_coeffs,
 )
 from planes.klein import (
-    CMQuadruple,
     KleinPair,
-    cm_points,
     gauss_map,
     klein_map,
     mu_image,
-    pair_primitive,
     realizable_pair,
 )
 from planes.mds import (
     MultiPoly,
     RationalFn,
-    SeriesTable,
-    h_series,
     l_value_check,
     p_local,
-    p_local_from_sum,
     q_local,
     rf_equal,
     rs3_identity_numeric,

@@ -18,7 +18,6 @@ import json
 import sys
 
 from . import klein, lattice, qform, repnum, suites
-from .repnum import OracleMismatchError
 
 _PLUCKER_COLS = ("p12", "p13", "p14", "p23", "p24", "p34")
 
@@ -119,11 +118,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
     d = args.disc
     formula = repnum.r24_formula(d)
-    try:
-        oracle = repnum.r24_oracle(d)
-    except OracleMismatchError as exc:
+    oracle, klein_count = repnum.r24_oracle(d)
+    if oracle != klein_count:
         payload = {"d": d, "r24_formula": formula, "r24_oracle": None,
-                   "agree": False, "error": str(exc)}
+                   "agree": False, "error": f"oracles disagree at d={d}: "
+                   f"plucker={oracle}, klein={klein_count}"}
         return payload, 1
     agree = formula == oracle
     payload = {"d": d, "r24_formula": formula, "r24_oracle": oracle,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -86,36 +85,17 @@ def klein_pairs(rows) -> np.ndarray:
     return pairs * lattice.lead_signs(pairs[:, 0])[:, None, None]
 
 
-def _odd_part(n: int) -> int:
-    while n % 2 == 0:
-        n //= 2
-    return n
-
-
-def pair_primitive(w1, w2) -> bool:
-    """Primitivity condition cutting the pair count down to plane count."""
-    w1 = tuple(int(c) for c in w1)
-    w2 = tuple(int(c) for c in w2)
-    g1 = gcd(gcd(abs(w1[0]), abs(w1[1])), abs(w1[2]))
-    g2 = gcd(gcd(abs(w2[0]), abs(w2[1])), abs(w2[2]))
-    if g1 == 0 or g2 == 0:
-        raise ValueError("zero vector")
-    if gcd(_odd_part(g1), _odd_part(g2)) != 1:
-        return False
-    s = all((a + b) % 4 == 0 for a, b in zip(w1, w2))
-    d = all((a - b) % 4 == 0 for a, b in zip(w1, w2))
-    return not (s and d)
-
-
 # sign-normalized w1 that `_pair_scan` tests against their class at once
 _W1_BLOCK = 256
 
 
 def _pair_scan(n: int):
-    """Pairs (w1, w2) of norm n, congruent mod 2, pair-primitive, with w1
-    sign-normalized.  Within each parity class, blocks of w1 are tested
-    against every w2 of the class in one broadcast; yields (w1, w2, mask)
-    per block, with mask[a, b] whether (w1[a], w2[b]) is a pair."""
+    """Pairs (w1, w2) of norm n, congruent mod 2, pair-primitive (the odd
+    parts of their contents coprime, and w1 + w2, w1 - w2 not both in
+    4Z^3), with w1 sign-normalized.  Within each parity class, blocks of
+    w1 are tested against every w2 of the class in one broadcast; yields
+    (w1, w2, mask) per block, with mask[a, b] whether (w1[a], w2[b]) is a
+    pair."""
     pts = repnum.sphere_points(n)
     g = np.gcd.reduce(pts, axis=1)
     odd = g // (g & -g)
@@ -231,35 +211,6 @@ def orthogonal_classes(points) -> list[FormClass]:
     primitive points, on the bases of `orthogonal_bases`.  Each class
     stands for its `gauss_map` GL2 class."""
     return sorted(set(gram_classes(orthogonal_bases(points))[0]))
-
-
-def _plane_class(plane: Plane) -> FormClass:
-    a, b, c = plane.binary_form()
-    return FormClass.of(QuadForm(a, b, c))
-
-
-@dataclass(frozen=True)
-class CMQuadruple:
-    """GL2 classes of the four forms attached to a plane."""
-
-    z1: frozenset
-    z2: frozenset
-    z3: frozenset
-    z4: frozenset
-
-    def as_tuple(self):
-        return (self.z1, self.z2, self.z3, self.z4)
-
-
-def cm_points(plane: Plane) -> CMQuadruple:
-    """Forms of the plane, its complement, and the two Klein components."""
-    pair = klein_map(plane)
-    return CMQuadruple(
-        z1=gl2_class(_plane_class(plane)),
-        z2=gl2_class(_plane_class(plane.orthogonal_complement())),
-        z3=gauss_map(pair.a1.vec3()),
-        z4=gauss_map(pair.a2.vec3()),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -262,23 +262,6 @@ def rf_equal(r1: RationalFn, r2: RationalFn) -> bool:
     return r1.num * r2.den_product() == r2.num * r1.den_product()
 
 
-@dataclass(frozen=True)
-class SeriesTable:
-    """Truncated expansion; caps give the valid exponent range per variable."""
-
-    poly: MultiPoly
-    caps: tuple
-
-    def cap(self, var: str) -> int:
-        return dict(self.caps)[var]
-
-    def coefficient(self, **exps) -> MultiPoly:
-        for v, k in exps.items():
-            if k > self.cap(v):
-                raise ValueError(f"{v}^{k} is beyond the truncation order")
-        return self.poly.coefficient(**exps)
-
-
 # ---------------------------------------------------------------------------
 # the generating function H and its even/odd pieces
 
@@ -294,14 +277,6 @@ def h_fn() -> RationalFn:
            ONE - P * X1 ** 2 * Y ** 2, ONE - P * X2 ** 2 * Y ** 2,
            ONE - P ** 2 * X1 ** 2 * X2 ** 2 * Y ** 2)
     return RationalFn(num, den)
-
-
-def h_series(kmax: int, lmax: int, mmax: int) -> SeriesTable:
-    """Coefficients a(p^k, p^l, p^m) as polynomials in p."""
-    if min(kmax, lmax, mmax) < 0:
-        raise ValueError("bounds must be nonnegative")
-    caps = {"x1": kmax, "x2": lmax, "y": mmax}
-    return SeriesTable(h_fn().series(caps), tuple(sorted(caps.items())))
 
 
 def q_local(divides: bool) -> RationalFn:
@@ -331,27 +306,6 @@ def p_local(eps: int) -> RationalFn:
     num = ONE + (eps * eps - 2 * eps) * Y ** 2 + (1 - 2 * eps) * P * Y ** 2 \
         + (eps * eps) * P * Y ** 4
     return RationalFn(num, (ONE - P * Y ** 2, ONE - P ** 2 * Y ** 2))
-
-
-def p_local_from_sum(eps: int, fmax: int) -> SeriesTable:
-    """The same series summed term by term from the divisor-sum shape."""
-    if eps not in (-1, 0, 1):
-        raise ValueError("eps must be one of -1, 0, 1")
-    if fmax < 1:
-        raise ValueError("fmax must be positive")
-    A = ONE - Fraction(eps) * MultiPoly.monomial(1, p=-1)
-    total = ONE
-    for k in range(1, fmax + 1):
-        geo = ONE  # 1 + 1/p + ... + p^-(k-2)
-        for j in range(1, k - 1):
-            geo = geo + MultiPoly.monomial(1, p=-j)
-        if k == 1:
-            bracket = A + 2 * MultiPoly.monomial(1, p=-1)
-        else:
-            bracket = A + 2 * A * MultiPoly.monomial(1, p=-1) * geo \
-                + 2 * MultiPoly.monomial(1, p=-k)
-        total = total + A * bracket * MultiPoly.monomial(1, p=2 * k, y=2 * k)
-    return SeriesTable(total, (("y", 2 * fmax),))
 
 
 def lhs_local(eps: int) -> RationalFn:
@@ -451,25 +405,26 @@ def _max_pow(fmax: int) -> int:
 
 
 _L_CHUNK = 2 ** 16  # terms per partial sum: four arrays of 512 KB
+L_TERMS = 10 ** 6  # terms of the character sum before the averaged tail
 
 
-def l_value_check(d0: int, terms: int = 10 ** 6) -> dict:
+def l_value_check(d0: int) -> dict:
     """Character-sum evaluation of L(1, chi_{-d0}) against the closed form
     pi * r3(d0) / (24 sqrt(d0)).  The tail is handled by averaging the
     partial character sums over one period, so the error is far below
-    the l-value suite's 1e-6 budget already at 10^6 terms.  The head is
-    summed in chunks of _L_CHUNK terms, so memory does not grow with terms."""
+    the l-value suite's 1e-6 budget at L_TERMS terms.  The head is summed
+    in chunks of _L_CHUNK terms, so it never holds all L_TERMS at once."""
     if d0 <= 3 or d0 % 8 != 3 or not repnum.is_squarefree(d0):
         raise ValueError("need squarefree d0 = 3 mod 8, d0 > 3")
     chi = np.array([repnum.kronecker_symbol(-d0, a) for a in range(d0)],
                    dtype=np.float64)
     head = 0.0
-    for start in range(1, terms + 1, _L_CHUNK):
-        n = np.arange(start, min(start + _L_CHUNK, terms + 1))
+    for start in range(1, L_TERMS + 1, _L_CHUNK):
+        n = np.arange(start, min(start + _L_CHUNK, L_TERMS + 1))
         head += float(np.sum(chi[n % d0] / n))
-    partial = np.cumsum(chi[(terms + 1 + np.arange(d0 - 1)) % d0])
+    partial = np.cumsum(chi[(L_TERMS + 1 + np.arange(d0 - 1)) % d0])
     tail_mean = (0.0 + float(partial.sum())) / d0
-    lhs = head + tail_mean / (terms + 1)
+    lhs = head + tail_mean / (L_TERMS + 1)
     rhs = math.pi * repnum.r3(d0) / (24 * math.sqrt(d0))
     return {"d0": d0, "character_sum": lhs, "closed_form": rhs,
             "abs_diff": abs(lhs - rhs)}

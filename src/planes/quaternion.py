@@ -18,9 +18,6 @@ class Quaternion:
     def from_vec4(cls, v) -> "Quaternion":
         return cls(int(v[0]), int(v[1]), int(v[2]), int(v[3]))
 
-    def vec4(self) -> tuple[int, int, int, int]:
-        return (self.x0, self.x1, self.x2, self.x3)
-
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.x0 + other.x0, self.x1 + other.x1,
                           self.x2 + other.x2, self.x3 + other.x3)
@@ -57,17 +54,6 @@ class Quaternion:
         """Reduced norm, the squared Euclidean length of the coefficient vector."""
         return self.x0 ** 2 + self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2
 
-    def tr(self) -> int:
-        return 2 * self.x0
-
-    def dot(self, other: "Quaternion") -> int:
-        return (self.x0 * other.x0 + self.x1 * other.x1
-                + self.x2 * other.x2 + self.x3 * other.x3)
-
-    @property
-    def is_traceless(self) -> bool:
-        return self.x0 == 0
-
 
 @dataclass(frozen=True)
 class TracelessQuaternion:
@@ -77,17 +63,8 @@ class TracelessQuaternion:
     x2: int
     x3: int
 
-    @classmethod
-    def from_quaternion(cls, q: Quaternion) -> "TracelessQuaternion":
-        if q.x0 != 0:
-            raise ValueError("quaternion has nonzero trace")
-        return cls(q.x1, q.x2, q.x3)
-
     def vec3(self) -> tuple[int, int, int]:
         return (self.x1, self.x2, self.x3)
-
-    def as_quaternion(self) -> Quaternion:
-        return Quaternion(0, self.x1, self.x2, self.x3)
 
     def __neg__(self) -> "TracelessQuaternion":
         return TracelessQuaternion(-self.x1, -self.x2, -self.x3)

@@ -3,7 +3,7 @@
 The plane count of discriminant -4d has a closed form in terms of r3 of
 the squarefree core of d; `r24_formula` evaluates it with exact rational
 arithmetic and `r24_oracle` recounts by two independent enumerations
-(Plucker solutions and Klein pairs) that must agree.
+(Plucker solutions and Klein pairs), whose callers compare the two.
 """
 
 from __future__ import annotations
@@ -142,34 +142,6 @@ def r3(n: int) -> int:
     return len(sphere_points(n))
 
 
-def _r3_prim_brute(n: int) -> int:
-    pts = sphere_points(n)
-    if not len(pts):
-        return 0
-    g = np.gcd.reduce(np.abs(pts), axis=1)
-    return int((g == 1).sum())
-
-
-def r3_prim(n: int) -> int:
-    """Primitive representations by three squares.
-
-    When the square part of n is odd the multiplicative formula applies and
-    is checked against the direct count before being returned.
-    """
-    if n < 1:
-        raise ValueError("need a positive integer")
-    brute = _r3_prim_brute(n)
-    n0, m = squarefree_decompose(n)
-    if m % 2 == 1:
-        val = Fraction(r3(n0) * m)
-        for p, _ in factorize(m):
-            val *= 1 - Fraction(legendre_symbol(-n0, p), p)
-        if val != brute:
-            raise ArithmeticError(
-                f"primitive count formula disagrees at n={n}: {val} vs {brute}")
-    return brute
-
-
 # ---------------------------------------------------------------------------
 # plane counts
 
@@ -247,33 +219,14 @@ def r24_formula(d: int) -> int:
     return int(val)
 
 
-class OracleMismatchError(RuntimeError):
-    """The two independent plane counts disagree."""
-
-    def __init__(self, d: int, plucker_count: int, klein_count: int):
-        self.d = d
-        self.plucker_count = plucker_count
-        self.klein_count = klein_count
-        super().__init__(
-            f"oracles disagree at d={d}: "
-            f"plucker={plucker_count}, klein={klein_count}"
-        )
-
-
-def r24_oracle(d: int) -> int:
-    """Plane count by direct enumeration, double-checked two ways.
-
-    Counts sign classes of primitive decomposable six-tuples of norm d and,
-    independently, Klein pairs of three-square vectors of norm d; raises
-    OracleMismatchError if the counts differ.
-    """
+def r24_oracle(d: int) -> tuple[int, int]:
+    """Plane count by two independent enumerations: sign classes of
+    primitive decomposable six-tuples of norm d, and Klein pairs of
+    three-square vectors of norm d.  Returns (plucker_count, klein_count);
+    the caller decides what a disagreement means."""
     from planes import klein
 
-    plucker_count = lattice.plane_count(d)
-    klein_count = klein.pair_count(d)
-    if plucker_count != klein_count:
-        raise OracleMismatchError(d, plucker_count, klein_count)
-    return plucker_count
+    return lattice.plane_count(d), klein.pair_count(d)
 
 
 def rs3_coeffs(dmax: int) -> dict[int, int]:

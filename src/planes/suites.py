@@ -22,6 +22,12 @@ def _report(name: str, failures: list, detail: dict) -> dict:
             "detail": detail}
 
 
+def _refuse_below(name: str, bound: int, first: int) -> None:
+    """A bound below the suite's first checked case would pass unchecked."""
+    if bound < first:
+        raise ValueError(f"need {name} >= {first}: no case is checked below {first}")
+
+
 def check_r24(dmax: int = 500) -> dict:
     """Closed formula against both enumerations, d up to dmax."""
     lattice.warm_count_cache(dmax)
@@ -29,11 +35,9 @@ def check_r24(dmax: int = 500) -> dict:
     failures = []
     for d in range(1, dmax + 1):
         formula = repnum.r24_formula(d)
-        try:
-            oracle = repnum.r24_oracle(d)
-        except repnum.OracleMismatchError as exc:
-            failures.append({"d": d, "plucker": exc.plucker_count,
-                             "klein": exc.klein_count})
+        oracle, klein_count = repnum.r24_oracle(d)
+        if oracle != klein_count:
+            failures.append({"d": d, "plucker": oracle, "klein": klein_count})
             continue
         if formula != oracle:
             failures.append({"d": d, "formula": formula, "oracle": oracle})
@@ -93,6 +97,7 @@ def check_local_identity(order: int = 20) -> dict:
 
 def check_p_local(fmax: int = 99) -> dict:
     """Divisor-sum and Euler-product square-part series, term by term."""
+    _refuse_below("fmax", fmax, 3)  # f = 1 is the empty product
     failures = []
     for d0 in (3, 11, 19):
         mismatches = mds.f_sum_check(d0, fmax)
@@ -103,6 +108,7 @@ def check_p_local(fmax: int = 99) -> dict:
 
 def check_class_number(dmax: int = 200) -> dict:
     """Three-squares counts against class numbers on both branches."""
+    _refuse_below("dmax", dmax, 5)
     failures = []
     for d0 in range(4, dmax + 1):
         if not repnum.is_squarefree(d0):
@@ -124,6 +130,7 @@ L_VALUE_ATOL = 1e-6
 
 
 def check_l_value(dmax: int = 200) -> dict:
+    _refuse_below("dmax", dmax, 11)
     failures = []
     worst = 0.0
     for d0 in range(11, dmax + 1, 8):
@@ -187,6 +194,7 @@ def check_comp_ort(nmax: int = 150) -> dict:
     """Image lattices of the two multiplication maps, and the norm identity,
     in int64 on `lattice.plane_bases`: the products are below 4n, their
     cross products and the identity's terms below 32 n^2 (NMAX_INT64)."""
+    _refuse_below("nmax", nmax, 5)
     _refuse_past_int64(nmax)
     lattice.warm_cache(nmax)
     failures = []
@@ -228,6 +236,7 @@ def check_comp_ort(nmax: int = 150) -> dict:
 def check_pair_genus(nmax: int = 150) -> dict:
     """Observed (plane form, complement form) pairs equal the genus rule,
     both from `klein.class_pairs`; nmax may not pass NMAX_INT64."""
+    _refuse_below("nmax", nmax, 5)
     _refuse_past_int64(nmax)
     lattice.warm_cache(nmax)
     failures = []

@@ -87,6 +87,21 @@ def test_usage_errors(capsys):
     assert run(capsys, "verify", "global-identity", "--w", "700")[0] == 2
 
 
+@pytest.mark.parametrize("suite,flag,first", [
+    ("l-value", "dmax", 11),
+    ("comp-ort", "nmax", 5),
+    ("pair-genus", "nmax", 5),
+    ("class-number", "dmax", 5),
+    ("p-local", "fmax", 3),
+])
+def test_bound_below_the_first_case_is_usage_error(capsys, suite, flag, first):
+    # below its first case a suite would pass having checked nothing
+    code, out, err = run(capsys, "verify", suite, f"--{flag}", str(first - 1))
+    assert code == 2 and out == ""
+    assert f"need {flag} >= {first}" in err
+    assert run(capsys, "verify", suite, f"--{flag}", str(first))[0] == 0
+
+
 def test_count_nonpositive_reports_reason(capsys):
     code, _, err = run(capsys, "count", "--disc", "-3")
     assert code == 2

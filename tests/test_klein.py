@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 
 from planes import klein, lattice, repnum
 from planes.klein import (
-    CMQuadruple,
     KleinPair,
     class_pairs,
-    cm_points,
     gauss_map,
     genus_context,
     gram_classes,
@@ -27,7 +25,6 @@ from planes.klein import (
     orthogonal_classes,
     orthogonal_lattice_z3,
     pair_count,
-    pair_primitive,
     pairs_for_norm,
     realizable_pair,
 )
@@ -146,17 +143,6 @@ def test_pair_count_rejects_nonpositive():
         pairs_for_norm(-3)
 
 
-def test_pair_primitive_cases():
-    assert pair_primitive((1, 0, 0), (1, 0, 0))
-    # both congruence shifts land in 4Z^3: the pair comes from a doubled plane
-    assert not pair_primitive((2, 2, 0), (2, -2, 0))
-    assert not pair_primitive((2, 2, 0), (-2, 2, 0))
-    # shared odd content
-    assert not pair_primitive((3, 0, 0), (0, 3, 0))
-    with pytest.raises(ValueError):
-        pair_primitive((0, 0, 0), (1, 0, 0))
-
-
 def test_orthogonal_lattice_examples():
     assert orthogonal_lattice_z3((1, 0, 0)) == ((0, 1, 0), (0, 0, 1))
     assert orthogonal_lattice_z3((0, 1, 2)) == ((1, 0, 0), (0, 2, -1))
@@ -215,20 +201,6 @@ def test_gauss_map_values():
     assert gauss_map((1, 1, 1)) == frozenset({_class(2, 2, 2)})
     for c in gauss_map((0, 1, 2)):
         assert c.disc == -20
-
-
-def test_cm_points_coordinate_plane():
-    quad = cm_points(Plane.from_basis((1, 0, 0, 0), (0, 1, 0, 0)))
-    assert isinstance(quad, CMQuadruple)
-    principal = frozenset({_class(1, 0, 1)})
-    assert quad.as_tuple() == (principal,) * 4
-
-
-def test_cm_points_share_discriminant():
-    for p in enumerate_planes(5):
-        quad = cm_points(p)
-        for z in quad.as_tuple():
-            assert {c.disc for c in z} == {-20}
 
 
 def test_mu_image_coordinate_plane():

@@ -18,13 +18,11 @@ from planes.mds import (
     closed_local,
     f_sum_check,
     h_fn,
-    h_series,
     l_value_check,
     lhs_local,
     local_identity_sides,
     odd_primes_upto,
     p_local,
-    p_local_from_sum,
     q_local,
     rf_equal,
     rs3_identity_numeric,
@@ -125,15 +123,11 @@ def test_rf_equal_detects_difference():
 
 
 def test_h_series_boundary_rows():
-    tab = h_series(6, 0, 10)
+    s = h_fn().series({"x1": 6, "x2": 0, "y": 10})
     for k in range(7):
-        assert tab.coefficient(x1=k, x2=0, y=0) == ONE
+        assert s.coefficient(x1=k, x2=0, y=0) == ONE
     for m in range(11):
-        assert tab.coefficient(x1=0, x2=0, y=m) == ONE
-    with pytest.raises(ValueError):
-        tab.coefficient(y=11)
-    with pytest.raises(ValueError):
-        h_series(-1, 0, 0)
+        assert s.coefficient(x1=0, x2=0, y=m) == ONE
 
 
 def test_h_is_symmetric_in_x1_x2():
@@ -164,23 +158,6 @@ def test_p_local_closed_numerators():
     assert p_local(-1).num == ONE + 3 * Y ** 2 + 3 * P * Y ** 2 + P * Y ** 4
     with pytest.raises(ValueError):
         p_local(2)
-
-
-def test_p_local_sum_first_coefficient():
-    tab = p_local_from_sum(1, 3)
-    assert tab.coefficient(y=2) == P ** 2 - ONE
-
-
-@pytest.mark.parametrize("eps", [1, -1, 0])
-def test_p_local_sum_matches_closed_form(eps):
-    assert p_local_from_sum(eps, 8).poly == p_local(eps).series({"y": 16})
-
-
-def test_p_local_sum_validation():
-    with pytest.raises(ValueError):
-        p_local_from_sum(2, 5)
-    with pytest.raises(ValueError):
-        p_local_from_sum(1, 0)
 
 
 @pytest.mark.parametrize("eps", [1, -1, 0])
@@ -256,7 +233,7 @@ def test_f_sum_check_validation():
 
 
 def test_l_value_check_small():
-    values = l_value_check(11, terms=10 ** 5)
+    values = l_value_check(11)
     assert values["abs_diff"] < suites.L_VALUE_ATOL
     assert values["closed_form"] == pytest.approx(
         math.pi / math.sqrt(11))
@@ -264,15 +241,15 @@ def test_l_value_check_small():
 
 @pytest.mark.parametrize("d0", [11, 19, 131, 395])
 def test_l_value_chunked_sum_matches_one_shot(d0):
-    """The chunked head sum against the whole 10^6-term array at once."""
-    terms = 10 ** 6
+    """The chunked head sum against the whole L_TERMS-term array at once."""
+    terms = mds.L_TERMS
     chi = np.array([repnum.kronecker_symbol(-d0, a) for a in range(d0)],
                    dtype=np.float64)
     n = np.arange(1, terms + 1)
     partial = np.cumsum(chi[(terms + 1 + np.arange(d0 - 1)) % d0])
     one_shot = (float(np.sum(chi[n % d0] / n))
                 + float(partial.sum()) / d0 / (terms + 1))
-    chunked = l_value_check(d0, terms)["character_sum"]
+    chunked = l_value_check(d0)["character_sum"]
     assert chunked == pytest.approx(one_shot, abs=1e-12)
 
 

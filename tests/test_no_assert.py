@@ -1,13 +1,16 @@
 """Checks in the package must not vanish under `python -O`, every import
-of a module must be used, every private helper must be read, no module
-reaches into another's private names, and only `suites` builds reports."""
+of a module must be used, every private helper must be read, every public
+one read or traced by the benchmark, no module reaches into another's
+private names, and only `suites` builds reports."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import planes
 
 SOURCES = sorted(Path(planes.__file__).parent.glob("*.py"))
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -42,24 +45,43 @@ def test_package_has_no_unused_imports():
     assert SOURCES and not unused, f"unused imports in planes: {unused}"
 
 
-def test_package_reads_every_private_helper():
-    # a private module-level function or class that no code of the package
-    # reads is kept only for tests, or for nothing
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _unread_definitions() -> list[tuple[str, ast.AST]]:
+    """(file, node) of each module-level function or class whose name no
+    code of the package reads."""
     trees = {path.name: _tree(path) for path in SOURCES}
     read = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))
             and isinstance(node.ctx, ast.Load)}
+    return [(name, node) for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in read]
+
+
+def test_package_reads_every_private_helper():
+    # a private module-level function or class that no code of the package
+    # reads is kept only for tests, or for nothing
     unread = [f"{name}:{node.lineno}:{node.name}"
-              for name, tree in trees.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and node.name.startswith("_") and not node.name.startswith("__")
-              and node.name not in read]
+              for name, node in _unread_definitions() if _private(node.name)]
     assert SOURCES and not unread, f"private helpers no package code reads: {unread}"
 
 
-def _private(name: str) -> bool:
-    return name.startswith("_") and not name.startswith("__")
+def test_package_or_benchmark_reads_every_public_name():
+    # a public one may also be a layer the benchmark traces; otherwise it is
+    # reached from no command, suite or traced layer
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = {(f"{module}.py", qual.split(".")[0])
+              for module, qual, _ in tracing.LAYERS}
+    unread = [f"{name}:{node.lineno}:{node.name}"
+              for name, node in _unread_definitions()
+              if not node.name.startswith("_") and (name, node.name) not in traced]
+    assert SOURCES and not unread, f"public names nothing reads or traces: {unread}"
 
 
 def test_no_module_reads_another_modules_private_names():

@@ -1,10 +1,9 @@
 """Multiplicativity, conjugation, and trace identities on a coefficient grid."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from planes.quaternion import Quaternion, TracelessQuaternion
+from planes.quaternion import Quaternion
 
 coeff = st.integers(min_value=-10, max_value=10)
 quat = st.builds(Quaternion, coeff, coeff, coeff, coeff)
@@ -53,20 +52,3 @@ def test_conjugation_involution_and_norm(q):
     assert q.conj().conj() == q
     assert q * q.conj() == Quaternion(q.nr(), 0, 0, 0)
 
-
-@given(quat, quat)
-def test_trace_pairing_is_twice_dot(q, r):
-    assert (q * r.conj()).tr() == 2 * q.dot(r)
-
-
-@given(st.builds(TracelessQuaternion, coeff, coeff, coeff))
-def test_traceless_embedding(a):
-    q = a.as_quaternion()
-    assert q.tr() == 0 and q.is_traceless
-    assert TracelessQuaternion.from_quaternion(q) == a
-    assert a.nr() == q.nr()
-
-
-def test_traceless_rejects_real_part():
-    with pytest.raises(ValueError):
-        TracelessQuaternion.from_quaternion(Quaternion(1, 2, 3, 4))

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planes.repnum import (
-    OracleMismatchError,
     RepDecomposition,
     decompose,
     f_sum,
@@ -19,7 +18,6 @@ from planes.repnum import (
     legendre_symbol,
     legendre_symbols,
     r3,
-    r3_prim,
     r24_formula,
     r24_oracle,
     rs3_coeffs,
@@ -47,15 +45,6 @@ def test_r3_against_direct_count(n):
 
 def test_r3_examples():
     assert [r3(n) for n in (1, 2, 3, 4, 5, 6, 7)] == [6, 12, 8, 6, 24, 24, 0]
-
-
-def test_r3_prim_examples():
-    assert r3_prim(1) == 6
-    assert r3_prim(3) == 8
-    assert r3_prim(4) == 0  # every rep of 4 is 2^2 + 0 + 0, imprimitive
-    assert r3_prim(9) == 24
-    with pytest.raises(ValueError):
-        r3_prim(0)
 
 
 @given(st.integers(min_value=1, max_value=4000))
@@ -198,13 +187,7 @@ def test_r24_rejects_nonpositive():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 9, 11, 27, 45])
 def test_oracle_agrees_with_formula(d):
-    assert r24_oracle(d) == r24_formula(d)
-
-
-def test_oracle_mismatch_message():
-    err = OracleMismatchError(7, 1, 2)
-    assert "d=7" in str(err)
-    assert err.plucker_count == 1 and err.klein_count == 2
+    assert r24_oracle(d) == (r24_formula(d), r24_formula(d))
 
 
 def test_rs3_coeffs_support():

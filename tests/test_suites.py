@@ -4,6 +4,7 @@ and failures reported rather than raised; and the one report shape that
 every suite shares."""
 
 import inspect
+import json
 from itertools import product
 from pathlib import Path
 
@@ -326,6 +327,20 @@ def test_r24_and_count_read_no_row_table(monkeypatch, capsys):
     assert cmd_dispatch(["verify", "r24", "--dmax", "100"]) == 0
     assert cmd_dispatch(["count", "--disc", "45"]) == 0
     assert '"r24_oracle": 768' in capsys.readouterr().out
+
+
+def test_oracle_disagreement_fails_r24_and_count(monkeypatch, capsys):
+    true_count = klein.pair_count
+    monkeypatch.setattr(klein, "pair_count", lambda n: true_count(n) + 1)
+    report = suites.check_r24(dmax=5)
+    assert report["status"] == "fail"
+    assert report["detail"]["failures"] == [
+        {"d": d, "plucker": lattice.plane_count(d), "klein": true_count(d) + 1}
+        for d in range(1, 6)]
+    assert cmd_dispatch(["count", "--disc", "5"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "d": 5, "r24_formula": 96, "r24_oracle": None, "agree": False,
+        "error": "oracles disagree at d=5: plucker=96, klein=97"}
 
 
 def test_r24_builds_the_count_array_once(monkeypatch):
