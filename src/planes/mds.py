@@ -404,24 +404,38 @@ def _max_pow(fmax: int) -> int:
 # numerical checks: L-values and the assembled identity
 
 
-_L_CHUNK = 2 ** 16  # terms per partial sum: four arrays of 512 KB
+_L_CHUNK = 2 ** 16  # terms per block of whole rows: one float64 buffer of 512 KB
 L_TERMS = 10 ** 6  # terms of the character sum before the averaged tail
 
 
 def l_value_check(d0: int) -> dict:
     """Character-sum evaluation of L(1, chi_{-d0}) against the closed form
-    pi * r3(d0) / (24 sqrt(d0)).  The tail is handled by averaging the
-    partial character sums over one period, so the error is far below
-    the l-value suite's 1e-6 budget at L_TERMS terms.  The head is summed
-    in chunks of _L_CHUNK terms, so it never holds all L_TERMS at once."""
+    pi * r3(d0) / (24 sqrt(d0)).  The sum is sum_{n <= L_TERMS} chi(n)/n
+    plus a tail that averages the partial character sums over one period,
+    so the error is far below the l-value suite's 1e-6 budget.
+
+    The head is summed by residue rows: n = k d0 + r with r = 1..d0.  The
+    whole rows k go through one buffer of at most _L_CHUNK terms (one row
+    when d0 is wider), a block of rows at a time: reciprocated in place and
+    summed over k into d0 column totals, which one dot product with chi(r)
+    combines.  The terms past the last whole row (fewer than d0) are summed
+    one by one."""
     if d0 <= 3 or d0 % 8 != 3 or not repnum.is_squarefree(d0):
         raise ValueError("need squarefree d0 = 3 mod 8, d0 > 3")
     chi = np.array([repnum.kronecker_symbol(-d0, a) for a in range(d0)],
                    dtype=np.float64)
-    head = 0.0
-    for start in range(1, L_TERMS + 1, _L_CHUNK):
-        n = np.arange(start, min(start + _L_CHUNK, L_TERMS + 1))
-        head += float(np.sum(chi[n % d0] / n))
+    r = np.arange(1, d0 + 1, dtype=np.float64)
+    rows = L_TERMS // d0
+    buffer = np.empty((max(1, _L_CHUNK // d0), d0))
+    columns = np.zeros(d0)
+    for k in range(0, rows, len(buffer)):
+        block = buffer[:rows - k]
+        np.add(np.arange(k, k + len(block), dtype=np.float64)[:, None] * d0,
+               r, out=block)
+        columns += np.reciprocal(block, out=block).sum(axis=0)
+    n = np.arange(rows * d0 + 1, L_TERMS + 1)
+    # chi(r) for r = 1..d0 is chi[1], ..., chi[d0 - 1], chi[0]
+    head = math.fsum(columns * np.roll(chi, -1)) + float(np.sum(chi[n % d0] / n))
     partial = np.cumsum(chi[(L_TERMS + 1 + np.arange(d0 - 1)) % d0])
     tail_mean = (0.0 + float(partial.sum())) / d0
     lhs = head + tail_mean / (L_TERMS + 1)

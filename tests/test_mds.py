@@ -1,6 +1,8 @@
 """Local generating function, square-part sums, and the assembled identity."""
 
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -251,6 +253,39 @@ def test_l_value_chunked_sum_matches_one_shot(d0):
                 + float(partial.sum()) / d0 / (terms + 1))
     chunked = l_value_check(d0)["character_sum"]
     assert chunked == pytest.approx(one_shot, abs=1e-12)
+
+
+@pytest.mark.parametrize("terms", [1000, 1001])
+@pytest.mark.parametrize("d0", [11, 19, 131, 395, 1003])
+def test_l_value_sum_is_the_exact_rational_sum(monkeypatch, d0, terms):
+    """The row-blocked head plus the averaged tail against the same sum in
+    Fractions, with blocks of at most 50 terms: several blocks and a short
+    last one, a remainder and none (1001 = 91 * 11), a d0 wider than a
+    block, and d0 > L_TERMS with no whole row."""
+    monkeypatch.setattr(mds, "L_TERMS", terms)
+    monkeypatch.setattr(mds, "_L_CHUNK", 50)
+    chi = [repnum.kronecker_symbol(-d0, a) for a in range(d0)]
+    head = sum(Fraction(chi[n % d0], n) for n in range(1, terms + 1))
+    # partial sums over terms < m <= terms + j for j = 0..d0-1, averaged
+    partial = itertools.accumulate(
+        (chi[m % d0] for m in range(terms + 1, terms + d0)), initial=0)
+    tail = Fraction(sum(partial), d0 * (terms + 1))
+    assert l_value_check(d0)["character_sum"] == pytest.approx(
+        float(head + tail), abs=1e-13)
+
+
+@pytest.mark.parametrize("d0", [11, 395])
+def test_l_value_check_memory_is_bounded(d0):
+    """The head sum holds one block buffer of _L_CHUNK float64 terms
+    (512 KB), so one call peaks below 1 MB."""
+    repnum.r3(d0)  # the sphere table is built outside the measurement
+    tracemalloc.start()
+    try:
+        l_value_check(d0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
 
 
 def test_l_value_check_rejects_out_of_scope():
