@@ -3,10 +3,10 @@
 Everything symbolic lives in Laurent polynomials over Q in the fixed
 variables p, y, x1, x2.  Rational functions keep their denominators as
 factor lists; equality is decided by cross-multiplication, so no
-polynomial GCDs are ever needed.  Series expansion inverts each factor
-as a geometric series, which requires the factor to be monomial + higher
-order terms in the capped variables; every denominator here has that
-shape.
+polynomial GCDs are ever needed.  Series expansion is one division by
+the product of the factors, which must be one monomial plus terms whose
+capped exponents are all >= 0 and not all 0; every denominator here has
+that shape.
 
 The identity checks at the bottom return only what they computed;
 `planes.suites` applies the tolerances and builds the reports.
@@ -234,28 +234,36 @@ class RationalFn:
         return out
 
     def series(self, caps: dict) -> MultiPoly:
-        acc = self.num.truncate(caps)
-        for f in self.den:
-            acc = (acc * _invert_factor(f, caps)).truncate(caps)
-        return acc
-
-
-def _invert_factor(f: MultiPoly, caps: dict) -> MultiPoly:
-    capped = [_IDX[v] for v in caps]
-    base = [(e, c) for e, c in f.terms.items() if all(e[i] == 0 for i in capped)]
-    if len(base) != 1:
-        raise ValueError("factor has no invertible leading monomial")
-    (e0, c0), = base
-    inv_lead = MultiPoly.monomial(1 / c0, **{v: -k for v, k in zip(VARS, e0) if k})
-    g = ONE - f * inv_lead
-    for e in g.terms:
-        if all(e[i] <= 0 for i in capped):
-            raise ValueError("factor tail does not raise the truncation order")
-    acc, power = ONE, g.truncate(caps)
-    while power:
-        acc = acc + power
-        power = (power * g).truncate(caps)
-    return acc * inv_lead
+        """num / den with each capped exponent at most its cap, by one division
+        by the denominator product: its base part (capped exponents all 0)
+        must be one monomial c0*m0 and its tail must have capped exponents
+        >= 0.  Terms are divided by c0*m0 lowest grade (capped sum) first."""
+        capped = [_IDX[v] for v in caps]
+        base, tail = [], []
+        for e, c in self.den_product().terms.items():
+            (tail if any(e[i] for i in capped) else base).append((e, c))
+        if len(base) != 1:
+            raise ValueError("denominator has no invertible base monomial")
+        if any(e[i] < 0 for e, _ in tail for i in capped):
+            raise ValueError("denominator tail lowers a capped exponent")
+        (e0, c0), = base
+        tail = [(e, -c / c0, sum(e[i] for i in capped)) for e, c in tail]
+        rows: dict[int, dict] = {}
+        for e, c in self.num.truncate(caps).terms.items():
+            rows.setdefault(sum(e[i] for i in capped), {})[e] = c
+        out = {}
+        for g in range(min(rows, default=0), sum(caps.values()) + 1):
+            for e, c in rows.pop(g, {}).items():
+                if not c:
+                    continue
+                q = (e[0] - e0[0], e[1] - e0[1], e[2] - e0[2], e[3] - e0[3])
+                out[q] = c / c0
+                for et, ct, gt in tail:
+                    ne = (q[0] + et[0], q[1] + et[1], q[2] + et[2], q[3] + et[3])
+                    if all(ne[i] <= m for i, m in zip(capped, caps.values())):
+                        row = rows.setdefault(g + gt, {})
+                        row[ne] = row.get(ne, 0) + c * ct
+        return MultiPoly._of(out)
 
 
 def rf_equal(r1: RationalFn, r2: RationalFn) -> bool:
@@ -375,7 +383,7 @@ def f_sum_check(d0: int, fmax: int = 99) -> list[dict]:
     coefficient by coefficient over odd f: the odd f where they differ."""
     if d0 % 4 != 3 or not repnum.is_squarefree(d0):
         raise ValueError("need squarefree d0 = 3 mod 4")
-    series_cache: dict[int, MultiPoly] = {}
+    series_cache: dict = {}  # series by eps; y^2k coefficient at p by (eps, p, k)
     mismatches = []
     for f in range(1, fmax + 1, 2):
         lhs = repnum.f_sum(d0, f)
@@ -384,9 +392,11 @@ def f_sum_check(d0: int, fmax: int = 99) -> list[dict]:
             eps = repnum.legendre_symbol(-d0, p)
             if eps not in series_cache:
                 series_cache[eps] = p_local(eps).series({"y": 2 * _max_pow(fmax)})
-            coeff = series_cache[eps].coefficient(y=2 * k)
-            rhs *= coeff.evaluate({"p": Fraction(p), "y": Fraction(0),
-                                   "x1": Fraction(0), "x2": Fraction(0)})
+            if (eps, p, k) not in series_cache:
+                coeff = series_cache[eps].coefficient(y=2 * k)
+                at_p = dict.fromkeys(VARS, Fraction(0)) | {"p": Fraction(p)}
+                series_cache[eps, p, k] = coeff.evaluate(at_p)
+            rhs *= series_cache[eps, p, k]
         if lhs != rhs:
             mismatches.append({"f": f, "divisor_sum": str(lhs), "euler": str(rhs)})
     return mismatches

@@ -70,19 +70,39 @@ def test_coefficient_and_truncate():
 def test_series_inverts_denominator():
     geom = RationalFn(ONE, (ONE - Y,))
     assert geom.series({"y": 3}) == ONE + Y + Y ** 2 + Y ** 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no invertible base monomial"):
         RationalFn(ONE, (Y,)).series({"y": 3})
-    with pytest.raises(ValueError):
-        # the x1 tail never raises the y order, so inversion must refuse
+    with pytest.raises(ValueError, match="no invertible base monomial"):
+        # 1 - x1 has no y in it, so the whole product is its base part
         RationalFn(ONE, (ONE - X1,)).series({"y": 2})
+
+
+def test_series_refuses_a_tail_that_lowers_a_capped_exponent():
+    """y/x1 has grade 0, as the base monomial does, so lowest-grade-first
+    division cannot order its terms: refused, although this one factor's
+    expansion within the caps is finite."""
+    fn = RationalFn(ONE, (ONE - MultiPoly.monomial(1, y=1, x1=-1),))
+    with pytest.raises(ValueError, match="lowers a capped exponent"):
+        fn.series({"y": 3, "x1": 3})
+
+
+def _check_truncated_inverse(fn: RationalFn, caps: dict):
+    """s is the series of fn under caps: s * den agrees with num inside
+    the caps box, and s has no term outside it."""
+    s = fn.series(caps)
+    assert (s * fn.den_product()).truncate(caps) == fn.num.truncate(caps)
+    assert s.truncate(caps) == s
 
 
 @pytest.mark.parametrize("eps", [1, -1, 0])
 def test_series_times_denominator_recovers_numerator(eps):
-    fn = lhs_local(eps)
-    caps = {"y": 12}
-    s = fn.series(caps)
-    assert (s * fn.den_product()).truncate(caps) == fn.num.truncate(caps)
+    _check_truncated_inverse(lhs_local(eps), {"y": 12})
+
+
+@pytest.mark.parametrize("fn", [h_fn(), q_local(True), q_local(False)],
+                         ids=["h", "q-divides", "q-coprime"])
+def test_multi_cap_series_times_denominator_recovers_numerator(fn):
+    _check_truncated_inverse(fn, {"x1": 4, "x2": 4, "y": 4})
 
 
 def _to_sympy(sp, r: RationalFn):
@@ -94,6 +114,22 @@ def _to_sympy(sp, r: RationalFn):
                         for e, c in m.terms.items()))
 
     return poly(r.num) / sp.Mul(*(poly(f) for f in r.den))
+
+
+@pytest.mark.parametrize("eps", [1, -1, 0])
+def test_local_identity_series_agree_with_sympy(eps):
+    """Second oracle for the division in `series`: sympy's own expansion
+    of both sides of each local-identity case to y^24 at every numeric
+    prime.  sympy expands the cancelled fraction, since on the factored one
+    its series takes minutes."""
+    sp = pytest.importorskip("sympy")
+    y = sp.Symbol("y")
+    for side in local_identity_sides(eps):
+        for pv in (3, 5, 7, 11, 13):
+            fn = side.subst("p", pv)
+            ours = _to_sympy(sp, RationalFn(fn.series({"y": 24})))
+            theirs = sp.series(sp.cancel(_to_sympy(sp, fn)), y, 0, 25).removeO()
+            assert sp.expand(ours - theirs) == 0, (eps, pv)
 
 
 def test_rf_equal_agrees_with_sympy_cancel():
@@ -212,6 +248,26 @@ def test_local_identity_failure_names_the_lowest_wrong_term(monkeypatch, term, e
     assert not cases[-1]["symbolic"]
     assert all(cases[eps]["symbolic"] and "mismatching_term" not in cases[eps]
                for eps in (1, 0))
+
+
+@pytest.mark.parametrize("power, numeric", [(4, False), (5, True)])
+def test_local_identity_series_cap_is_inclusive(monkeypatch, power, numeric):
+    """Add y^power to the left side of the eps = -1 case: at order 4 the
+    series see y^4 at every prime and miss y^5, while the symbolic check
+    sees both."""
+    sides = mds.local_identity_sides
+
+    def perturbed(eps):
+        lhs, rhs = sides(eps)
+        if eps == -1:
+            lhs = RationalFn(lhs.num + Y ** power * lhs.den_product(), lhs.den)
+        return lhs, rhs
+
+    monkeypatch.setattr(mds, "local_identity_sides", perturbed)
+    report = suites.check_local_identity(order=4)
+    cases = {c["eps"]: c for c in report["detail"]["cases"]}
+    assert report["status"] == "fail" and not cases[-1]["symbolic"]
+    assert set(cases[-1]["numeric_primes"].values()) == {numeric}
 
 
 # ---------------------------------------------------------------------------
