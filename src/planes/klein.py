@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from planes import lattice, repnum
-from planes.lattice import Plane, hnf_rows, integer_kernel
+from planes.lattice import Plane, hnf_rows, integer_kernel, orthogonal_bases
 from planes.qform import (
     FormClass,
     QuadForm,
@@ -158,40 +158,6 @@ def gauss_map(v) -> frozenset:
     g01 = sum(a * b for a, b in zip(b1, b2))
     g11 = sum(c * c for c in b2)
     return gl2_class(_class_of_gram(g00, g01, g11))
-
-
-def _ext_gcd_arrays(x, y):
-    """Elementwise g = +-gcd(x, y) with g = alpha x + beta y."""
-    r0, r1 = x, y
-    s0, s1 = np.ones_like(x), np.zeros_like(x)
-    t0, t1 = np.zeros_like(x), np.ones_like(x)
-    while r1.any():
-        live = r1 != 0
-        q = r0 // np.where(live, r1, 1)
-        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - q * r1, r1)
-        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - q * s1, s1)
-        t0, t1 = np.where(live, t1, t0), np.where(live, t0 - q * t1, t1)
-    return r0, s0, t0
-
-
-def orthogonal_bases(points) -> np.ndarray:
-    """Basis (b1, b2) of the lattice orthogonal to each primitive
-    v = (x, y, z) in points (N, 3), as an (N, 2, 3) array, in closed form:
-    with g = +-gcd(x, y) = alpha x + beta y, b1 = (y/g, -x/g, 0) and
-    b2 = (alpha z, beta z, -g) lie in v^perp and b1 x b2 = v, so they span
-    it; v = (0, 0, +-1) takes e1, e2.  Spans the lattice of
-    `orthogonal_lattice_z3` without a Hermite reduction."""
-    v = np.asarray(points, dtype=np.int64).reshape(-1, 3)
-    if (np.gcd.reduce(v, axis=1) != 1).any():
-        raise ValueError("points must be primitive")
-    x, y, z = v.T
-    g, alpha, beta = _ext_gcd_arrays(x, y)
-    axis = g == 0
-    gs = np.where(axis, 1, g)
-    bases = np.stack([np.stack([y // gs, -x // gs, np.zeros_like(x)], axis=1),
-                      np.stack([alpha * z, beta * z, -g], axis=1)], axis=1)
-    bases[axis] = ((1, 0, 0), (0, 1, 0))
-    return bases
 
 
 def gram_classes(bases) -> tuple[list[FormClass], np.ndarray]:

@@ -13,21 +13,26 @@ Conventions used throughout:
 
 Enumeration writes the relation as x . y = 0 with x = (a, b, c) and
 y = (f, -e, d).  Every x != 0 of norm at most N whose first nonzero entry
-x_k is positive is read off the x-slabs of the ball of Z^3 (`ball`),
-listed in one array and grouped by the pivot k.  Within a group the other
-two entries (y_i, y_j) of y run over the norm-sorted disk up to
-N - |x|^2, so each x owns a prefix of the disk; the (x, disk point)
-candidates are laid out flat and solved in blocks of at most `_BLOCK`,
-y_k by exact division, with no Python loop over x.  x = 0 leaves any
-primitive (d, e, f) of norm at most N whose first nonzero entry is
-positive: the primitive rows of that same array.
+is positive is read off the x-slabs of the ball of Z^3 (`ball`), in chunks
+of a few thousand.  For such x with g = gcd(x), the solutions y are the
+points of norm at most N - |x|^2 of the rank-2 lattice x^perp, of
+covolume |x|/g: each x gets the closed-form basis of (x/g)^perp
+(`orthogonal_bases`), Gauss-reduced, and the points a v1 + b v2 inside
+the ellipse are listed row by row in b, each row a run of a between two
+exact integer square roots.  The (x, b, a) candidates are laid out flat
+and built in blocks of at most `_BLOCK`, with no Python loop over x; of
+y and -y only one is built, and the other is its mirror.  x = 0 leaves
+any primitive (d, e, f) of norm at most N whose first nonzero entry is
+positive: the primitive x of the same chunks.
 
 Three grow-only, lock-guarded caches read block generators, so sweeps over
 a range of discriminants pay for a few passes.  The solved blocks
-(`_solve_blocks`) feed a `NormTable` of rows, split by norm and ordered by
+(`_solutions`) feed a `NormTable` of rows, split by norm and ordered by
 one int64 key (`lex_order`), and a `NormCounts`, one bincount of the norms
-of each block, so `plane_count` keeps no rows.  The slabs of `ball` feed
-the `NormTable` of sphere points of `repnum`.
+of each block, which builds no row at all, so `plane_count` keeps none.
+The slabs of `ball` feed the `NormTable` of sphere points of `repnum`.
+Each cache refuses a norm past its limit (`ROW_LIMIT`, `NORM_LIMIT`)
+before it fills anything.
 
 Hermite bases come in closed form (`plane_bases`).  The rows of
 S = u v^T - v u^T are S[k] = u_k v - v_k u, and span the plane when its
@@ -39,6 +44,7 @@ the pivot of v, u = (u_j v - S[j]) / v_j, where u_j is the one value in
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from math import gcd, isqrt
@@ -126,6 +132,40 @@ def integer_kernel(rows) -> tuple[tuple[int, ...], ...]:
     B = [[rows[i][j] for i in range(m)] + [int(i == j) for i in range(n)]
          for j in range(n)]
     return tuple(tuple(r[m:]) for r in row_hnf(B) if not any(r[:m]))
+
+
+def _ext_gcd_arrays(x, y):
+    """Elementwise g = +-gcd(x, y) with g = alpha x + beta y."""
+    r0, r1 = x, y
+    s0, s1 = np.ones_like(x), np.zeros_like(x)
+    t0, t1 = np.zeros_like(x), np.ones_like(x)
+    while r1.any():
+        live = r1 != 0
+        q = r0 // np.where(live, r1, 1)
+        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - q * r1, r1)
+        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - q * s1, s1)
+        t0, t1 = np.where(live, t1, t0), np.where(live, t0 - q * t1, t1)
+    return r0, s0, t0
+
+
+def orthogonal_bases(points) -> np.ndarray:
+    """Basis (b1, b2) of the lattice orthogonal to each primitive
+    v = (x, y, z) in points (N, 3), as an (N, 2, 3) array, in closed form:
+    with g = +-gcd(x, y) = alpha x + beta y, b1 = (y/g, -x/g, 0) and
+    b2 = (alpha z, beta z, -g) lie in v^perp and b1 x b2 = v, so they span
+    it; v = (0, 0, +-1) takes e1, e2.  Spans the lattice of
+    `klein.orthogonal_lattice_z3` without a Hermite reduction."""
+    v = np.asarray(points, dtype=np.int64).reshape(-1, 3)
+    if (np.gcd.reduce(v, axis=1) != 1).any():
+        raise ValueError("points must be primitive")
+    x, y, z = v.T
+    g, alpha, beta = _ext_gcd_arrays(x, y)
+    axis = g == 0
+    gs = np.where(axis, 1, g)
+    bases = np.stack([np.stack([y // gs, -x // gs, np.zeros_like(x)], axis=1),
+                      np.stack([alpha * z, beta * z, -g], axis=1)], axis=1)
+    bases[axis] = ((1, 0, 0), (0, 1, 0))
+    return bases
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +258,9 @@ def skew_matrices(rows) -> np.ndarray:
     return S
 
 
-# every term that `plane_bases` and the products on its bases compute for
-# norms up to n is below 32 n^2, so below 2^63 for n up to this bound
+# every term that `plane_bases` and the products on its bases compute, and
+# every product of the plane enumeration (`_solutions`), for norms up to n
+# is below 32 n^2, so below 2^63 for n up to this bound
 NMAX_INT64 = 2 ** 29 - 1
 
 
@@ -383,35 +424,41 @@ def lex_order(rows, lead=None) -> np.ndarray:
 
 class _Ceiling:
     """Data for every norm up to a ceiling that only grows, read off
-    ``blocks(nmax)``, which yields (norms, rows) blocks that together hold
-    every entry of norm at most nmax, in any order.  A request past the
-    ceiling refills it under the lock, up to the largest of the request,
-    twice the old ceiling and 64, so a rising sweep of requests pays for a
-    few fills."""
+    ``blocks(nmax)``, a generator of blocks that together hold every entry
+    of norm at most nmax, in any order.  A request past the ceiling
+    refills it under the lock, up to the largest of the request, twice the
+    old ceiling and 64, but never past ``limit``: a request past the limit
+    is refused with a ValueError before anything is filled, so a sweep of
+    rising requests pays for a few fills of known size."""
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, limit: int):
         self._lock = threading.Lock()
         self._blocks = blocks
+        self.limit = limit
         self.nmax = -1
 
     def warm(self, nmax: int) -> None:
         if nmax <= self.nmax:
             return
+        if nmax > self.limit:
+            raise ValueError(f"norm {nmax} is past {self.limit}, the largest "
+                             f"norm this table is filled to")
         with self._lock:
             if nmax <= self.nmax:
                 return
-            target = max(nmax, 2 * self.nmax, 64)
+            target = min(max(nmax, 2 * self.nmax, 64), self.limit)
             self._fill(target)
             self.nmax = target
 
 
 class NormTable(_Ceiling):
     """Integer rows grouped by norm, for every norm up to the ceiling: the
-    blocks concatenated, and the rows of one norm sorted lexicographically.
+    (norms, rows) blocks concatenated, and the rows of one norm sorted
+    lexicographically.
     """
 
-    def __init__(self, blocks, width: int):
-        super().__init__(blocks)
+    def __init__(self, blocks, width: int, limit: int):
+        super().__init__(blocks, limit)
         self._rows: dict[int, np.ndarray] = {}
         self._empty = np.empty((0, width), dtype=np.int64)
 
@@ -430,17 +477,17 @@ class NormTable(_Ceiling):
 
 class NormCounts(_Ceiling):
     """How many entries each norm has, for every norm up to the ceiling:
-    the sum of one bincount of each block's norms, so no more than one
-    block is held at a time.
+    the sum of one bincount of each block, a block being an array of norms,
+    so no more than one block is held at a time and no entry is built.
     """
 
-    def __init__(self, blocks):
-        super().__init__(blocks)
+    def __init__(self, blocks, limit: int):
+        super().__init__(blocks, limit)
         self._counts = np.zeros(0, dtype=np.int64)
 
     def _fill(self, target: int) -> None:
         counts = np.zeros(target + 1, dtype=np.int64)
-        for ns, _ in self._blocks(target):
+        for ns in self._blocks(target):
             counts += np.bincount(ns, minlength=target + 1)
         self._counts = counts
 
@@ -449,21 +496,16 @@ class NormCounts(_Ceiling):
         return int(self._counts[n]) if 0 <= n < len(self._counts) else 0
 
 
-def sorted_disk(R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Points (P, Q) of the square [-R, R]^2 and their norms, sorted by
-    norm, so the points of norm at most m are a prefix."""
+def ball(nmax: int):
+    """Norms and points of Z^3 of norm 1..nmax, one x-slab at a time: the
+    (y, z) of each x are the prefix, up to norm nmax - x^2, of the square
+    [-R, R]^2 sorted by norm."""
+    R = isqrt(nmax)
     rng = np.arange(-R, R + 1, dtype=np.int64)
     P, Q = (g.ravel() for g in np.meshgrid(rng, rng, indexing="ij"))
     disk = np.argsort(P * P + Q * Q, kind="stable")
     P, Q = P[disk], Q[disk]
-    return P, Q, P * P + Q * Q
-
-
-def ball(nmax: int):
-    """Norms and points of Z^3 of norm 1..nmax, one x-slab at a time: the
-    (y, z) of each x are the prefix of the norm-sorted disk up to nmax - x^2."""
-    R = isqrt(nmax)
-    P, Q, NORM = sorted_disk(R)
+    NORM = P * P + Q * Q
     for x in range(-R, R + 1):
         L = int(np.searchsorted(NORM, nmax - x * x, side="right"))
         skip = 1 if x == 0 else 0  # the disk starts at (0, 0)
@@ -471,74 +513,154 @@ def ball(nmax: int):
                                               P[skip:L], Q[skip:L]], axis=1)
 
 
-# (x, disk point) candidates that `_solve_blocks` solves in one pass: each
-# int64 temporary of a block is 256 KB; 2^16 was no faster and raised the
-# peak of the first table build (to 64) by about 1.5 MB
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """floor(sqrt(v)) of each nonnegative int64 v: the float root is within
+    one of it, and one integer step either way makes it exact."""
+    q = np.sqrt(v).astype(np.int64)
+    q -= q * q > v
+    q += (q + 1) * (q + 1) <= v
+    return q
+
+
+def _gauss_reduced(v1: np.ndarray, v2: np.ndarray):
+    """Lagrange-Gauss reduction of each basis (v1[k], v2[k]) of a rank-2
+    lattice: a basis of the same lattice with |2 v1.v2| <= v1.v1 <= v2.v2.
+    No step lengthens a vector, so no dot product passes the largest input
+    norm."""
+    while True:
+        A, C = (v1 * v1).sum(axis=1), (v2 * v2).sum(axis=1)
+        swap = (C < A)[:, None]
+        v1, v2 = np.where(swap, v2, v1), np.where(swap, v1, v2)
+        A = np.minimum(A, C)
+        q = ((v1 * v2).sum(axis=1) * 2 + A) // (2 * A)  # nearest integer to B/A
+        if not q.any():
+            return v1, v2
+        v2 = v2 - q[:, None] * v1
+
+
+# x per chunk of `_solutions`: every array of a chunk has one entry per x,
+# per (x, b) row or per candidate of one block, never one per x of the ball
+_X_CHUNK = 2048
+
+# candidates that `_solutions` builds in one pass: each int64 temporary of a
+# block is 256 KB; 2^16 was no faster and raised the peak of the first table
+# build (to 64) by about 1.5 MB
 _BLOCK = 2 ** 15
 
 
-def _solve_blocks(nmax: int):
-    """Norms and rows of the sign-normalized primitive solutions of norm
-    <= nmax, one solved block at a time; each solution is in one block.
+def _kernel_rows(x, v1, v2, xo, b, o, a):
+    """The rows (x, y_2, -y_1, y_0) of y = a v1 + b v2 on the (x, b) rows o,
+    x, v1 and v2 read at xo, followed by the rows of their mirrors -y."""
+    r = xo[o]
+    y = a[:, None] * v1[r] + b[o, None] * v2[r]
+    rows = np.concatenate([x[r], y[:, ::-1] * (1, -1, 1)], axis=1)
+    return np.concatenate([rows, rows * (1, 1, 1, -1, -1, -1)])
+
+
+def _solve_chunk(nmax: int, s: np.ndarray, x: np.ndarray):
+    """(norms, rows) of each block of the primitive solutions of
+    x . y = 0 and |x|^2 + |y|^2 <= nmax, for a chunk of sign-normalized
+    x != 0 of norms s.  A block holds the norms of one of each pair of
+    solutions of equal norm, (x, y) and (x, -y), or (x, 0) and (0, x); rows
+    is a function that builds the rows of the ones held, then of their
+    partners, so a consumer of norms alone builds no row.
+
+    With g = gcd(x), the y are the points a v1 + b v2 of the lattice
+    (x/g)^perp with Gauss-reduced basis (v1, v2), Gram (A, B; B, C) and
+    det = AC - B^2 = |x/g|^2, of norm at most r^2 = nmax - |x|^2:
+    |b| <= sqrt(A r^2 / det), and for each b, with t = isqrt(A r^2 - det b^2),
+    a runs over [ceil((-Bb - t)/A), floor((-Bb + t)/A)], as
+    A Q(a, b) = (Aa + Bb)^2 + det b^2.  Of each pair y, -y != 0 the one with
+    b > 0, or b = 0 < a, is kept.  Each x has a run of (x, b) rows and each
+    row a run of a; the candidates are laid out flat and built in blocks of
+    at most `_BLOCK`.
+    """
+    g = np.gcd.reduce(x, axis=1)
+    bases = orthogonal_bases(x // g[:, None])
+    v1, v2 = _gauss_reduced(bases[:, 0], bases[:, 1])
+    A, B, C = (v1 * v1).sum(axis=1), (v1 * v2).sum(axis=1), (v2 * v2).sum(axis=1)
+    Ar2, det = A * (nmax - s), A * C - B * B
+    nb = _isqrt(Ar2 // det) + 1
+    xo = np.repeat(np.arange(len(x)), nb)
+    b = np.arange(len(xo)) - np.repeat(np.cumsum(nb) - nb, nb)
+    t = _isqrt(Ar2[xo] - det[xo] * b * b)
+    Ab, Bb = A[xo], B[xo] * b
+    a0 = np.where(b == 0, 1, -((Bb + t) // Ab))
+    na = (t - Bb) // Ab - a0 + 1
+    base = s[xo] + C[xo] * b * b  # the norm at a = 0
+    # y = a v1 + b v2 has content gcd(a, b), since (v1, v2) spans a
+    # saturated lattice, so the row is primitive iff gcd(a, gcd(b, g)) = 1
+    gb = np.gcd(b, g[xo])
+    ends = np.cumsum(na)
+    starts = ends - na
+    shift = a0 - starts  # a of candidate k on row o is k + shift[o]
+    for lo in range(0, int(ends[-1]), _BLOCK):
+        top = min(lo + _BLOCK, int(ends[-1]))
+        first, last = np.searchsorted(ends, [lo, top - 1], side="right")
+        span = slice(first, last + 1)
+        runs = np.minimum(ends[span], top) - np.maximum(starts[span], lo)
+        o = np.repeat(np.arange(first, last + 1), runs)
+        a = np.arange(lo, top) + shift[o]
+        nv = base[o] + a * (Ab[o] * a + 2 * Bb[o])
+        check = np.flatnonzero(gb[o] != 1)
+        if len(check):
+            keep = np.ones(len(o), dtype=bool)
+            keep[check] = np.gcd(a[check], gb[o[check]]) == 1
+            o, a, nv = o[keep], a[keep], nv[keep]
+        yield nv, functools.partial(_kernel_rows, x, v1, v2, xo, b, o, a)
+    # y = 0 and x = 0: (x, 0) and (0, x), primitive where x is
+    p = x[g == 1]
+    yield s[g == 1], lambda: np.concatenate([np.pad(p, ((0, 0), (0, 3))),
+                                             np.pad(p, ((0, 0), (3, 0)))])
+
+
+def _solutions(nmax: int):
+    """(norms, rows) of each block of the sign-normalized primitive
+    solutions of norm <= nmax, with rows a function that builds them; each
+    solution is in one block.
 
     With x = (a, b, c) and y = (f, -e, d) the relation reads x . y = 0.
-    """
-    R = isqrt(nmax)
-    P, Q, NORM = sorted_disk(R)
-
-    def primitive(x, g, y, nv):
-        """The norms and primitive rows (x, y_2, -y_1, y_0), of norms nv,
-        for x of content g; a primitive x makes every solution primitive."""
-        keep = np.ones(len(nv), dtype=bool)
-        check = np.flatnonzero(g != 1)
-        keep[check] = np.gcd(np.gcd(np.gcd(y[0][check], y[1][check]),
-                                    y[2][check]), g[check]) == 1
-        rows = np.empty((int(keep.sum()), 6), dtype=np.int64)
-        rows[:, :3] = x[keep]
-        rows[:, 3], rows[:, 4], rows[:, 5] = y[2][keep], -y[1][keep], y[0][keep]
-        return nv[keep], rows
-
-    # x != 0 with first nonzero x_k > 0, grouped by k: each x pairs with the
-    # disk prefix of norm <= nmax - |x|^2 as (y_i, y_j), and y_k is solved
-    # from the relation by exact division, _BLOCK candidates at a time
-    S, X = (np.concatenate(part) for part in zip(*ball(nmax)))
-    live = lead_signs(X) > 0
-    X, S = X[live], S[live]
-    pivot = (X != 0).argmax(axis=1)
-    for k in range(3):
-        i, j = (m for m in range(3) if m != k)
-        x, s = X[pivot == k], S[pivot == k]
-        g = np.gcd.reduce(x, axis=1)
-        xi, xj, xk = (np.ascontiguousarray(x[:, m]) for m in (i, j, k))
-        L = np.searchsorted(NORM, nmax - s, side="right")
-        ends = np.cumsum(L)
-        starts = ends - L
-        total = int(ends[-1]) if len(ends) else 0
-        for lo in range(0, total, _BLOCK):
-            hi = min(lo + _BLOCK, total)
-            first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
-            span = slice(first, last + 1)
-            owner = np.repeat(np.arange(first, last + 1),
-                              np.minimum(ends[span], hi) - np.maximum(starts[span], lo))
-            at = np.arange(lo, hi) - starts[owner]
-            t = -(xi[owner] * P[at] + xj[owner] * Q[at])
-            hit = np.flatnonzero(t % xk[owner] == 0)
-            yk = t[hit] // xk[owner[hit]]
-            nv = s[owner[hit]] + NORM[at[hit]] + yk * yk
-            fit = np.flatnonzero(nv <= nmax)
-            owner, at = owner[hit[fit]], at[hit[fit]]
-            y = [None] * 3
-            y[i], y[j], y[k] = P[at], Q[at], yk[fit]
-            yield primitive(x[owner], g[owner], y, nv[fit])
-
-    # x = 0: (d, e, f) runs over the same nonzero vectors as x, and
-    # primitive drops the imprimitive ones since g = 0
-    yield primitive(np.zeros_like(X), np.zeros(len(X), dtype=np.int64),
-                    [X[:, 2], -X[:, 1], X[:, 0]], S)
+    The x are taken slab by slab from `ball`, in chunks of `_X_CHUNK`.
+    Every int64 term is at most 3 (nmax^2 + nmax): the closed-form basis of
+    x/g has norms at most nmax^2 + nmax, Gauss reduction lengthens no
+    vector, and the reduced terms are smaller.  Raises ArithmeticError
+    past `NMAX_INT64`, before anything is built."""
+    if nmax > NMAX_INT64:
+        raise ArithmeticError(f"norm {nmax} is past the int64 bound {NMAX_INT64}")
+    S, X = np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
+    for s, x in ball(nmax):
+        live = lead_signs(x) > 0
+        S, X = np.concatenate([S, s[live]]), np.concatenate([X, x[live]])
+        while len(X) >= _X_CHUNK:
+            yield from _solve_chunk(nmax, S[:_X_CHUNK], X[:_X_CHUNK])
+            S, X = S[_X_CHUNK:], X[_X_CHUNK:]
+    if len(X):
+        yield from _solve_chunk(nmax, S, X)
 
 
-_plucker_table = NormTable(_solve_blocks, 6)
-_plucker_counts = NormCounts(_solve_blocks)
+def _plane_rows(nmax: int):
+    """(norms, rows) blocks of `_solutions`, for the table of planes."""
+    for ns, rows in _solutions(nmax):
+        yield np.concatenate([ns, ns]), rows()
+
+
+def _plane_norms(nmax: int):
+    """Norm blocks of `_solutions`, for the plane counts: each block twice,
+    once for its solutions and once for their mirrors, and no row built."""
+    for ns, _ in _solutions(nmax):
+        yield ns
+        yield ns
+
+
+# the largest norms the caches are filled to: at either limit a fill in a
+# fresh process peaks at about 250 MB (2-core VM, numpy 2.4), the row table
+# at 512 (224 MB) and the sphere table at 8192 (245 MB); a count streams its
+# blocks, so its sweep to 8192 holds a few MB but takes about 10 s
+ROW_LIMIT = 2 ** 9
+NORM_LIMIT = 2 ** 13
+
+_plucker_table = NormTable(_plane_rows, 6, ROW_LIMIT)
+_plucker_counts = NormCounts(_plane_norms, NORM_LIMIT)
 
 
 def warm_cache(nmax: int) -> None:

@@ -120,7 +120,7 @@ def is_admissible_disc(d: int) -> bool:
 # sums of three squares
 
 
-_sphere_table = lattice.NormTable(lattice.ball, 3)
+_sphere_table = lattice.NormTable(lattice.ball, 3, lattice.NORM_LIMIT)
 
 
 def warm_sphere_cache(nmax: int) -> None:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from planes import mds, suites
+from planes import lattice, mds, repnum, suites
 from planes.cli import _build_parser, cmd_dispatch
 
 
@@ -199,6 +199,29 @@ def test_series_refuses_a_large_prime_cutoff_before_the_sieve(capsys, monkeypatc
         code, out, err = run(capsys, "series", "--prime-cutoff", str(cutoff))
         assert code == 2 and out == ""
         assert "prime cutoff" in err
+
+
+def test_norm_past_a_cache_limit_is_refused_before_any_fill(capsys, monkeypatch):
+    """`count` and r24 past `NORM_LIMIT`, 10^5 among them, and `enumerate`,
+    `klein` and a plane suite past `ROW_LIMIT` exit 2 before a block of any
+    cache is read."""
+    def refuse(nmax):
+        raise AssertionError(f"filled to {nmax}")
+
+    monkeypatch.setattr(lattice, "_plucker_counts",
+                        lattice.NormCounts(refuse, lattice.NORM_LIMIT))
+    monkeypatch.setattr(lattice, "_plucker_table",
+                        lattice.NormTable(refuse, 6, lattice.ROW_LIMIT))
+    monkeypatch.setattr(repnum, "_sphere_table",
+                        lattice.NormTable(refuse, 3, lattice.NORM_LIMIT))
+    past_rows, past_norms = str(lattice.ROW_LIMIT + 1), str(lattice.NORM_LIMIT + 1)
+    for argv in (["count", "--disc", "100000"], ["count", "--disc", past_norms],
+                 ["verify", "r24", "--dmax", past_norms],
+                 ["enumerate", "--disc", past_rows], ["klein", "--disc", past_rows],
+                 ["verify", "orth", "--nmax", past_rows]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "the largest norm this table is filled to" in err
 
 
 def test_verify_local_identity_order_flag(capsys):

@@ -21,14 +21,19 @@ from planes.klein import (
     klein_map,
     klein_pairs,
     mu_image,
-    orthogonal_bases,
     orthogonal_classes,
     orthogonal_lattice_z3,
     pair_count,
     pairs_for_norm,
     realizable_pair,
 )
-from planes.lattice import Plane, enumerate_planes, hnf_rows, plucker_of_basis
+from planes.lattice import (
+    Plane,
+    enumerate_planes,
+    hnf_rows,
+    orthogonal_bases,
+    plucker_of_basis,
+)
 from planes.qform import FormClass, QuadForm, class_group, gl2_class
 from planes.quaternion import Quaternion, TracelessQuaternion
 
@@ -152,14 +157,23 @@ def test_orthogonal_lattice_examples():
 
 def test_orthogonal_bases_span_the_kernel_lattice():
     """The closed form spans the Hermite kernel lattice at every primitive
-    sphere point of norm <= 200, and its cross product is the point."""
+    sphere point of norm <= 200, and its cross product is the point.  So
+    does its Gauss reduction, the basis the plane enumeration walks, with
+    cross product +-v and |2 v1.v2| <= v1.v1 <= v2.v2."""
     pts = np.concatenate([repnum.sphere_points(n) for n in range(1, 201)])
     pts = pts[np.gcd.reduce(pts, axis=1) == 1]
     bases = orthogonal_bases(pts)
-    for v, (b1, b2) in zip(pts.tolist(), bases.tolist()):
+    v1, v2 = lattice._gauss_reduced(bases[:, 0], bases[:, 1])
+    for v, (b1, b2), r1, r2 in zip(pts.tolist(), bases.tolist(), v1.tolist(), v2.tolist()):
         assert hnf_rows([b1, b2]) == orthogonal_lattice_z3(v)
+        assert hnf_rows([r1, r2]) == orthogonal_lattice_z3(v)
     off_axis = pts[:, :2].any(axis=1)  # (0, 0, +-1) takes e1, e2
     assert (np.cross(bases[:, 0], bases[:, 1])[off_axis] == pts[off_axis]).all()
+    cross = np.cross(v1, v2)
+    assert ((cross == pts).all(axis=1) | (cross == -pts).all(axis=1)).all()
+    A, B, C = (v1 * v1).sum(axis=1), (v1 * v2).sum(axis=1), (v2 * v2).sum(axis=1)
+    assert ((np.abs(2 * B) <= A) & (A <= C)).all()
+    assert not (bases == np.stack([v1, v2], axis=1)).all()
     with pytest.raises(ValueError):
         orthogonal_bases([(1, 0, 0), (2, 0, 2)])
     with pytest.raises(ValueError):

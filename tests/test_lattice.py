@@ -216,21 +216,24 @@ def _assert_frozen(name, table):
 @pytest.mark.parametrize("ceiling", [256, 300])
 @pytest.mark.parametrize("name", sorted(FROZEN_TABLES))
 def test_tables_are_frozen(name, ceiling):
-    blocks = {"plucker": lattice._solve_blocks, "sphere": lattice.ball}[name]
-    table = lattice.NormTable(blocks, FROZEN_TABLES[name][0])
+    blocks = {"plucker": lattice._plane_rows, "sphere": lattice.ball}[name]
+    table = lattice.NormTable(blocks, FROZEN_TABLES[name][0], lattice.ROW_LIMIT)
     table.warm(ceiling)
     assert table.nmax == ceiling
     _assert_frozen(name, table)
 
 
 def test_plucker_table_is_frozen_across_block_seams(monkeypatch):
-    """Blocks of 97 candidates, whose seams fall in the middle of the disk
-    prefix of one x, solved once to 300: the table they fill has the
-    frozen digest, and the counts they fill are its lengths."""
+    """Blocks of 97 candidates and chunks of 61 x, solved once to 300: the
+    table they fill has the frozen digest, and the counts they fill are its
+    lengths.  x = (0, 0, 1) alone has about 470 candidates there, so seams
+    fall inside the run of one x, and of one (x, b) row."""
     monkeypatch.setattr(lattice, "_BLOCK", 97)
-    blocks = list(lattice._solve_blocks(300))
-    table = lattice.NormTable(lambda nmax: blocks, 6)
-    counts = lattice.NormCounts(lambda nmax: blocks)
+    monkeypatch.setattr(lattice, "_X_CHUNK", 61)
+    blocks = list(lattice._plane_rows(300))
+    assert max(len(ns) for ns, _ in blocks) == 2 * 97
+    table = lattice.NormTable(lambda nmax: blocks, 6, 300)
+    counts = lattice.NormCounts(lattice._plane_norms, 300)
     table.warm(300)
     counts.warm(300)
     _assert_frozen("plucker", table)
@@ -242,10 +245,10 @@ def test_plucker_table_is_frozen_across_block_seams(monkeypatch):
 def test_plane_counts_are_the_table_lengths(monkeypatch, block):
     """The count sweep gives the row table's count at every norm up to 300,
     also with blocks of 97 candidates, whose seams fall in the middle of
-    the disk prefix of one x."""
+    the run of one x."""
     lengths = [len(lattice.plucker_arrays(n)) for n in range(1, 301)]
     monkeypatch.setattr(lattice, "_BLOCK", block)
-    counts = lattice.NormCounts(lattice._solve_blocks)
+    counts = lattice.NormCounts(lattice._plane_norms, lattice.NORM_LIMIT)
     counts.warm(300)
     assert counts.nmax == 300
     assert [counts.get(n) for n in range(1, 301)] == lengths
@@ -254,6 +257,59 @@ def test_plane_counts_are_the_table_lengths(monkeypatch, block):
     assert [lattice.plane_count(n) for n in range(1, 301)] == lengths
     with pytest.raises(ValueError):
         lattice.plane_count(0)
+
+
+def _box_scan(nmax: int) -> np.ndarray:
+    """(norm, a, ..., f) of every six-tuple of the box [-m, m]^6, m = isqrt(nmax),
+    with a*f - b*e + c*d = 0, content 1, first nonzero entry positive and
+    norm <= nmax, sorted: the planes of norm <= nmax by a direct scan."""
+    m = isqrt(nmax)
+    box = np.indices((2 * m + 1,) * 6).reshape(6, -1).T - m
+    norms = (box * box).sum(axis=1)
+    box, norms = box[norms <= nmax], norms[norms <= nmax]
+    a, b, c, d, e, f = box.T
+    lead = box[np.arange(len(box)), (box != 0).argmax(axis=1)]
+    keep = (a * f - b * e + c * d == 0) & (np.gcd.reduce(box, axis=1) == 1) & (lead > 0)
+    found = np.c_[norms[keep], box[keep]]
+    return found[np.lexsort(found.T[::-1])]
+
+
+def test_enumeration_is_the_box_scan():
+    """Up to 24 the enumeration to each ceiling N is the box scan to N, so
+    every row of norm exactly N, on the boundary of its ellipse, is there;
+    the table, read norm by norm, is the scan to 24."""
+    scan = _box_scan(24)
+    for nmax in range(1, 25):
+        ns, rows = (np.concatenate(part) for part in zip(*lattice._plane_rows(nmax)))
+        found = np.c_[ns, rows]
+        assert np.array_equal(found[np.lexsort(found.T[::-1])], scan[scan[:, 0] <= nmax])
+    table = np.concatenate([np.c_[np.full(len(r), n), r] for n in range(1, 25)
+                            for r in [lattice.plucker_arrays(n)]])
+    assert np.array_equal(table, scan)
+    assert len(scan) == sum(r24_formula(n) for n in range(1, 25))
+
+
+def test_past_the_limit_is_refused_before_any_fill():
+    """A request past a cache's limit raises before its blocks are read, and
+    the doubling stops at the limit."""
+    asked = []
+
+    def blocks(nmax):
+        asked.append(nmax)
+        return [np.zeros(0, dtype=np.int64)]
+
+    counts = lattice.NormCounts(blocks, 100)
+    counts.warm(70)
+    with pytest.raises(ValueError, match="past 100"):
+        counts.warm(101)
+    counts.warm(90)
+    assert asked == [70, 100] and counts.nmax == 100
+    table = lattice.NormTable(lambda nmax: asked.append(nmax), 6, 100)
+    with pytest.raises(ValueError, match="past 100"):
+        table.warm(10 ** 9)
+    assert asked == [70, 100] and table.nmax == -1
+    with pytest.raises(ArithmeticError, match="int64 bound"):
+        next(lattice._solutions(lattice.NMAX_INT64 + 1))
 
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(-3, 3), st.integers(-3, 3),
@@ -276,7 +332,7 @@ def test_sort_key_past_int64_is_refused():
         return (np.array([nmax, 1]),
                 np.array([[2 ** 9, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, -2 ** 9]]))
 
-    table = lattice.NormTable(lambda nmax: [huge(nmax)], 6)
+    table = lattice.NormTable(lambda nmax: [huge(nmax)], 6, 64)
     with pytest.raises(ArithmeticError, match="past int64"):
         table.warm(64)
     assert table.nmax == -1 and table.get(1).shape == (0, 6)

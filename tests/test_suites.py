@@ -312,9 +312,10 @@ def test_klein_and_orth_build_the_table_once(monkeypatch, name):
 
     def blocks(nmax):
         built.append(nmax)
-        return lattice._solve_blocks(nmax)
+        return lattice._plane_rows(nmax)
 
-    monkeypatch.setattr(lattice, "_plucker_table", lattice.NormTable(blocks, 6))
+    monkeypatch.setattr(lattice, "_plucker_table",
+                        lattice.NormTable(blocks, 6, lattice.ROW_LIMIT))
     assert suites.run_suite(name, nmax=100)["status"] == "pass"
     assert built == [100]
 
@@ -348,9 +349,10 @@ def test_r24_builds_the_count_array_once(monkeypatch):
 
     def blocks(nmax):
         built.append(nmax)
-        return lattice._solve_blocks(nmax)
+        return lattice._plane_norms(nmax)
 
-    monkeypatch.setattr(lattice, "_plucker_counts", lattice.NormCounts(blocks))
+    monkeypatch.setattr(lattice, "_plucker_counts",
+                        lattice.NormCounts(blocks, lattice.NORM_LIMIT))
     assert suites.run_suite("r24", dmax=100)["status"] == "pass"
     assert built == [100]
 
@@ -359,10 +361,11 @@ def test_r24_reports_one_moved_plucker_count(monkeypatch):
     """One extra solution of norm 45 in the count sweep: the Plucker count
     there is 769 against 768 Klein pairs, and r24 fails on that d alone."""
     def moved(nmax):
-        yield from lattice._solve_blocks(nmax)
-        yield np.array([45]), np.zeros((1, 6), dtype=np.int64)
+        yield from lattice._plane_norms(nmax)
+        yield np.array([45])
 
-    monkeypatch.setattr(lattice, "_plucker_counts", lattice.NormCounts(moved))
+    monkeypatch.setattr(lattice, "_plucker_counts",
+                        lattice.NormCounts(moved, lattice.NORM_LIMIT))
     report = suites.run_suite("r24", dmax=60)
     assert report["status"] == "fail"
     assert report["detail"]["failures"] == [{"d": 45, "plucker": 769, "klein": 768}]
