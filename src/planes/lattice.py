@@ -25,14 +25,14 @@ y and -y only one is built, and the other is its mirror.  x = 0 leaves
 any primitive (d, e, f) of norm at most N whose first nonzero entry is
 positive: the primitive x of the same chunks.
 
-Three grow-only, lock-guarded caches read block generators, so sweeps over
-a range of discriminants pay for a few passes.  The solved blocks
-(`_solutions`) feed a `NormTable` of rows, split by norm and ordered by
-one int64 key (`lex_order`), and a `NormCounts`, one bincount of the norms
-of each block, which builds no row at all, so `plane_count` keeps none.
-The slabs of `ball` feed the `NormTable` of sphere points of `repnum`.
-Each cache refuses a norm past its limit (`ROW_LIMIT`, `NORM_LIMIT`)
-before it fills anything.
+Every cache is a grow-only, lock-guarded `NormTable` of one entry per
+norm, so sweeps over a range of discriminants pay for a few passes.  The
+Plucker rows of the solved blocks (`_solutions`) and the sphere points of
+`repnum`, read off the slabs of `ball`, are ordered by one int64 key
+(`lex_order`) and split by norm (`rows_by_norm`).  The plane counts are
+one bincount of the norms of each block (`_plane_counts`), which builds
+no row at all, so `plane_count` keeps none.  Each table refuses a norm
+past its limit (`ROW_LIMIT`, `NORM_LIMIT`) before it fills anything.
 
 Hermite bases come in closed form (`plane_bases`).  The rows of
 S = u v^T - v u^T are S[k] = u_k v - v_k u, and span the plane when its
@@ -422,20 +422,21 @@ def lex_order(rows, lead=None) -> np.ndarray:
     return np.argsort(key)
 
 
-class _Ceiling:
-    """Data for every norm up to a ceiling that only grows, read off
-    ``blocks(nmax)``, a generator of blocks that together hold every entry
-    of norm at most nmax, in any order.  A request past the ceiling
-    refills it under the lock, up to the largest of the request, twice the
-    old ceiling and 64, but never past ``limit``: a request past the limit
-    is refused with a ValueError before anything is filled, so a sweep of
-    rising requests pays for a few fills of known size."""
+class NormTable:
+    """Entries indexed by norm, up to a ceiling that only grows:
+    ``fill(nmax)`` returns one entry for each norm 0..nmax.  A request past
+    the ceiling refills it under the lock, up to the largest of the
+    request, twice the old ceiling and 64, but never past ``limit``: a
+    request past the limit is refused with a ValueError before anything is
+    filled, so a sweep of rising requests pays for a few fills of known
+    size."""
 
-    def __init__(self, blocks, limit: int):
+    def __init__(self, fill, limit: int):
         self._lock = threading.Lock()
-        self._blocks = blocks
+        self._fill = fill
         self.limit = limit
         self.nmax = -1
+        self._entries = ()
 
     def warm(self, nmax: int) -> None:
         if nmax <= self.nmax:
@@ -447,53 +448,24 @@ class _Ceiling:
             if nmax <= self.nmax:
                 return
             target = min(max(nmax, 2 * self.nmax, 64), self.limit)
-            self._fill(target)
+            self._entries = self._fill(target)
             self.nmax = target
 
+    def get(self, n: int):
+        """The entry of norm n, which `warm` has filled."""
+        return self._entries[n]
 
-class NormTable(_Ceiling):
-    """Integer rows grouped by norm, for every norm up to the ceiling: the
-    (norms, rows) blocks concatenated, and the rows of one norm sorted
-    lexicographically.
-    """
 
-    def __init__(self, blocks, width: int, limit: int):
-        super().__init__(blocks, limit)
-        self._rows: dict[int, np.ndarray] = {}
-        self._empty = np.empty((0, width), dtype=np.int64)
-
-    def _fill(self, target: int) -> None:
-        ns, rows = (np.concatenate(part) for part in zip(*self._blocks(target)))
+def rows_by_norm(blocks):
+    """A `NormTable` fill from ``blocks(nmax)``, a generator of (norms,
+    rows) blocks that together hold every row of norm at most nmax, in any
+    order: the rows of each norm, sorted lexicographically, as views of
+    one ordered copy, so a norm without rows has a (0, w) view."""
+    def fill(nmax: int) -> list[np.ndarray]:
+        ns, rows = (np.concatenate(part) for part in zip(*blocks(nmax)))
         order = lex_order(rows, ns)
-        ns, rows = ns[order], rows[order]
-        starts = np.flatnonzero(np.diff(ns)) + 1
-        self._rows = dict(zip(ns[np.r_[0, starts]].tolist(),
-                              np.split(rows, starts)))
-
-    def get(self, n: int) -> np.ndarray:
-        """Rows of norm n; empty if there are none (or n is past the ceiling)."""
-        return self._rows.get(n, self._empty)
-
-
-class NormCounts(_Ceiling):
-    """How many entries each norm has, for every norm up to the ceiling:
-    the sum of one bincount of each block, a block being an array of norms,
-    so no more than one block is held at a time and no entry is built.
-    """
-
-    def __init__(self, blocks, limit: int):
-        super().__init__(blocks, limit)
-        self._counts = np.zeros(0, dtype=np.int64)
-
-    def _fill(self, target: int) -> None:
-        counts = np.zeros(target + 1, dtype=np.int64)
-        for ns in self._blocks(target):
-            counts += np.bincount(ns, minlength=target + 1)
-        self._counts = counts
-
-    def get(self, n: int) -> int:
-        """Entries of norm n; 0 if there are none (or n is past the ceiling)."""
-        return int(self._counts[n]) if 0 <= n < len(self._counts) else 0
+        return np.split(rows[order], np.searchsorted(ns[order], np.arange(1, nmax + 1)))
+    return fill
 
 
 def ball(nmax: int):
@@ -644,12 +616,13 @@ def _plane_rows(nmax: int):
         yield np.concatenate([ns, ns]), rows()
 
 
-def _plane_norms(nmax: int):
-    """Norm blocks of `_solutions`, for the plane counts: each block twice,
-    once for its solutions and once for their mirrors, and no row built."""
+def _plane_counts(nmax: int) -> np.ndarray:
+    """Planes of each norm 0..nmax: one bincount of the norms of each
+    `_solutions` block, twice for the mirrors, so no row is built."""
+    counts = np.zeros(nmax + 1, dtype=np.int64)
     for ns, _ in _solutions(nmax):
-        yield ns
-        yield ns
+        counts += np.bincount(ns, minlength=nmax + 1)
+    return 2 * counts
 
 
 # the largest norms the caches are filled to: at either limit a fill in a
@@ -659,8 +632,8 @@ def _plane_norms(nmax: int):
 ROW_LIMIT = 2 ** 9
 NORM_LIMIT = 2 ** 13
 
-_plucker_table = NormTable(_plane_rows, 6, ROW_LIMIT)
-_plucker_counts = NormCounts(_plane_norms, NORM_LIMIT)
+_plucker_table = NormTable(rows_by_norm(_plane_rows), ROW_LIMIT)
+_plucker_counts = NormTable(_plane_counts, NORM_LIMIT)
 
 
 def warm_cache(nmax: int) -> None:
@@ -686,7 +659,7 @@ def plane_count(n: int) -> int:
     if n < 1:
         raise ValueError("norm must be positive")
     warm_count_cache(n)
-    return _plucker_counts.get(n)
+    return int(_plucker_counts.get(n))
 
 
 def enumerate_planes(n: int) -> tuple[Plane, ...]:

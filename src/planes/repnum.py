@@ -120,7 +120,8 @@ def is_admissible_disc(d: int) -> bool:
 # sums of three squares
 
 
-_sphere_table = lattice.NormTable(lattice.ball, 3, lattice.NORM_LIMIT)
+_sphere_table = lattice.NormTable(lattice.rows_by_norm(lattice.ball),
+                                  lattice.NORM_LIMIT)
 
 
 def warm_sphere_cache(nmax: int) -> None:
@@ -234,4 +235,5 @@ def rs3_coeffs(dmax: int) -> dict[int, int]:
     dmax; every other coefficient is zero."""
     if dmax < 0:
         raise ValueError("bound must be nonnegative")
+    warm_sphere_cache(dmax)
     return {d: r24_formula(d) for d in range(3, dmax + 1, 4)}

@@ -109,6 +109,7 @@ def check_p_local(fmax: int = 99) -> dict:
 def check_class_number(dmax: int = 200) -> dict:
     """Three-squares counts against class numbers on both branches."""
     _refuse_below("dmax", dmax, 5)
+    repnum.warm_sphere_cache(dmax)
     failures = []
     for d0 in range(4, dmax + 1):
         if not repnum.is_squarefree(d0):
@@ -131,6 +132,7 @@ L_VALUE_ATOL = 1e-6
 
 def check_l_value(dmax: int = 200) -> dict:
     _refuse_below("dmax", dmax, 11)
+    repnum.warm_sphere_cache(dmax)
     failures = []
     worst = 0.0
     for d0 in range(11, dmax + 1, 8):

@@ -119,6 +119,12 @@ def test_enumerate_norm_one(capsys):
         assert len(p["plucker"]) == 6 and len(p["basis"]) == 2
 
 
+def test_enumerate_a_norm_without_planes(capsys):
+    code, out, _ = run(capsys, "enumerate", "--disc", "7")
+    assert code == 0
+    assert json.loads(out) == {"d": 7, "count": 0, "planes": []}
+
+
 def test_enumerate_csv_has_plucker_columns(capsys):
     code, out, _ = run(capsys, "enumerate", "--disc", "2", "--format", "csv")
     assert code == 0
@@ -202,21 +208,25 @@ def test_series_refuses_a_large_prime_cutoff_before_the_sieve(capsys, monkeypatc
 
 
 def test_norm_past_a_cache_limit_is_refused_before_any_fill(capsys, monkeypatch):
-    """`count` and r24 past `NORM_LIMIT`, 10^5 among them, and `enumerate`,
-    `klein` and a plane suite past `ROW_LIMIT` exit 2 before a block of any
-    cache is read."""
+    """`count`, r24, the three-square forms suites and `series` past
+    `NORM_LIMIT`, 10^5 among them, and `enumerate`, `klein` and a plane
+    suite past `ROW_LIMIT` exit 2 before a block of any cache is read."""
     def refuse(nmax):
         raise AssertionError(f"filled to {nmax}")
 
     monkeypatch.setattr(lattice, "_plucker_counts",
-                        lattice.NormCounts(refuse, lattice.NORM_LIMIT))
+                        lattice.NormTable(refuse, lattice.NORM_LIMIT))
     monkeypatch.setattr(lattice, "_plucker_table",
-                        lattice.NormTable(refuse, 6, lattice.ROW_LIMIT))
+                        lattice.NormTable(refuse, lattice.ROW_LIMIT))
     monkeypatch.setattr(repnum, "_sphere_table",
-                        lattice.NormTable(refuse, 3, lattice.NORM_LIMIT))
+                        lattice.NormTable(refuse, lattice.NORM_LIMIT))
     past_rows, past_norms = str(lattice.ROW_LIMIT + 1), str(lattice.NORM_LIMIT + 1)
     for argv in (["count", "--disc", "100000"], ["count", "--disc", past_norms],
                  ["verify", "r24", "--dmax", past_norms],
+                 ["verify", "class-number", "--dmax", past_norms],
+                 ["verify", "l-value", "--dmax", past_norms],
+                 ["verify", "global-identity", "--dmax", past_norms],
+                 ["series", "--dmax", past_norms],
                  ["enumerate", "--disc", past_rows], ["klein", "--disc", past_rows],
                  ["verify", "orth", "--nmax", past_rows]):
         code, out, err = run(capsys, *argv)

@@ -217,7 +217,7 @@ def _assert_frozen(name, table):
 @pytest.mark.parametrize("name", sorted(FROZEN_TABLES))
 def test_tables_are_frozen(name, ceiling):
     blocks = {"plucker": lattice._plane_rows, "sphere": lattice.ball}[name]
-    table = lattice.NormTable(blocks, FROZEN_TABLES[name][0], lattice.ROW_LIMIT)
+    table = lattice.NormTable(lattice.rows_by_norm(blocks), lattice.ROW_LIMIT)
     table.warm(ceiling)
     assert table.nmax == ceiling
     _assert_frozen(name, table)
@@ -232,8 +232,8 @@ def test_plucker_table_is_frozen_across_block_seams(monkeypatch):
     monkeypatch.setattr(lattice, "_X_CHUNK", 61)
     blocks = list(lattice._plane_rows(300))
     assert max(len(ns) for ns, _ in blocks) == 2 * 97
-    table = lattice.NormTable(lambda nmax: blocks, 6, 300)
-    counts = lattice.NormCounts(lattice._plane_norms, 300)
+    table = lattice.NormTable(lattice.rows_by_norm(lambda nmax: blocks), 300)
+    counts = lattice.NormTable(lattice._plane_counts, 300)
     table.warm(300)
     counts.warm(300)
     _assert_frozen("plucker", table)
@@ -248,15 +248,26 @@ def test_plane_counts_are_the_table_lengths(monkeypatch, block):
     the run of one x."""
     lengths = [len(lattice.plucker_arrays(n)) for n in range(1, 301)]
     monkeypatch.setattr(lattice, "_BLOCK", block)
-    counts = lattice.NormCounts(lattice._plane_norms, lattice.NORM_LIMIT)
+    counts = lattice.NormTable(lattice._plane_counts, lattice.NORM_LIMIT)
     counts.warm(300)
     assert counts.nmax == 300
     assert [counts.get(n) for n in range(1, 301)] == lengths
-    assert counts.get(0) == counts.get(301) == 0
+    assert counts.get(0) == 0
+    with pytest.raises(IndexError):
+        counts.get(301)
     assert sum(lengths[:256]) == FROZEN_TABLES["plucker"][1]
     assert [lattice.plane_count(n) for n in range(1, 301)] == lengths
     with pytest.raises(ValueError):
         lattice.plane_count(0)
+
+
+@pytest.mark.parametrize("n", [7, 12, 15, 16])
+def test_norms_without_planes_read_empty(n):
+    """Norms 7, 12, 15 and 16 (0, 7, 12 and 15 mod 16) have no plane: the
+    table's split gives them (0, 6) rows, and the count sweep 0."""
+    rows = lattice.plucker_arrays(n)
+    assert rows.shape == (0, 6) and rows.dtype == np.int64
+    assert lattice.plane_count(n) == 0
 
 
 def _box_scan(nmax: int) -> np.ndarray:
@@ -294,17 +305,17 @@ def test_past_the_limit_is_refused_before_any_fill():
     the doubling stops at the limit."""
     asked = []
 
-    def blocks(nmax):
+    def fill(nmax):
         asked.append(nmax)
-        return [np.zeros(0, dtype=np.int64)]
+        return np.zeros(nmax + 1, dtype=np.int64)
 
-    counts = lattice.NormCounts(blocks, 100)
+    counts = lattice.NormTable(fill, 100)
     counts.warm(70)
     with pytest.raises(ValueError, match="past 100"):
         counts.warm(101)
     counts.warm(90)
     assert asked == [70, 100] and counts.nmax == 100
-    table = lattice.NormTable(lambda nmax: asked.append(nmax), 6, 100)
+    table = lattice.NormTable(lambda nmax: asked.append(nmax), 100)
     with pytest.raises(ValueError, match="past 100"):
         table.warm(10 ** 9)
     assert asked == [70, 100] and table.nmax == -1
@@ -332,10 +343,10 @@ def test_sort_key_past_int64_is_refused():
         return (np.array([nmax, 1]),
                 np.array([[2 ** 9, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, -2 ** 9]]))
 
-    table = lattice.NormTable(lambda nmax: [huge(nmax)], 6, 64)
+    table = lattice.NormTable(lattice.rows_by_norm(lambda nmax: [huge(nmax)]), 64)
     with pytest.raises(ArithmeticError, match="past int64"):
         table.warm(64)
-    assert table.nmax == -1 and table.get(1).shape == (0, 6)
+    assert table.nmax == -1
     assert lattice.lex_order(huge(6)[1], huge(6)[0]).tolist() == [1, 0]
     with pytest.raises(ArithmeticError):
         lattice.lex_order(*huge(7)[::-1])

@@ -1,9 +1,11 @@
 """Checks in the package must not vanish under `python -O`, every import
 of a module must be used, every private helper must be read, every public
-one read or traced by the benchmark, no module reaches into another's
-private names, and only `suites` builds reports."""
+one read or traced by the benchmark, every traced name defined, no
+module reaches into another's private names, and only `suites` builds
+reports."""
 
 import ast
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -70,18 +72,35 @@ def test_package_reads_every_private_helper():
     assert SOURCES and not unread, f"private helpers no package code reads: {unread}"
 
 
-def test_package_or_benchmark_reads_every_public_name():
-    # a public one may also be a layer the benchmark traces; otherwise it is
-    # reached from no command, suite or traced layer
+def _layers() -> tuple:
+    """(module, qualified name, stats) of each layer the benchmark traces."""
     spec = importlib.util.spec_from_file_location("tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    traced = {(f"{module}.py", qual.split(".")[0])
-              for module, qual, _ in tracing.LAYERS}
+    return tracing.LAYERS
+
+
+def test_package_or_benchmark_reads_every_public_name():
+    # a public one may also be a layer the benchmark traces; otherwise it is
+    # reached from no command, suite or traced layer
+    traced = {(f"{module}.py", qual.split(".")[0]) for module, qual, _ in _layers()}
     unread = [f"{name}:{node.lineno}:{node.name}"
               for name, node in _unread_definitions()
               if not node.name.startswith("_") and (name, node.name) not in traced]
     assert SOURCES and not unread, f"public names nothing reads or traces: {unread}"
+
+
+def test_every_traced_layer_resolves():
+    # the benchmark wraps each layer by name and refuses to start when one
+    # is missing, so a deleted or renamed layer fails here first
+    missing = []
+    for module, qual, _ in _layers():
+        try:
+            functools.reduce(getattr, qual.split("."),
+                             importlib.import_module(f"planes.{module}"))
+        except AttributeError:
+            missing.append(f"{module}.{qual}")
+    assert not missing, f"traced layers the package lacks: {missing}"
 
 
 def test_no_module_reads_another_modules_private_names():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from planes.repnum import (
     r24_formula,
     r24_oracle,
     rs3_coeffs,
+    sphere_points,
     squarefree_decompose,
 )
 
@@ -45,6 +47,12 @@ def test_r3_against_direct_count(n):
 
 def test_r3_examples():
     assert [r3(n) for n in (1, 2, 3, 4, 5, 6, 7)] == [6, 12, 8, 6, 24, 24, 0]
+
+
+@pytest.mark.parametrize("n", [7, 28])
+def test_norms_without_three_squares_have_no_points(n):
+    points = sphere_points(n)
+    assert points.shape == (0, 3) and points.dtype == np.int64
 
 
 @given(st.integers(min_value=1, max_value=4000))

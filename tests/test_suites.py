@@ -314,8 +314,8 @@ def test_klein_and_orth_build_the_table_once(monkeypatch, name):
         built.append(nmax)
         return lattice._plane_rows(nmax)
 
-    monkeypatch.setattr(lattice, "_plucker_table",
-                        lattice.NormTable(blocks, 6, lattice.ROW_LIMIT))
+    table = lattice.NormTable(lattice.rows_by_norm(blocks), lattice.ROW_LIMIT)
+    monkeypatch.setattr(lattice, "_plucker_table", table)
     assert suites.run_suite(name, nmax=100)["status"] == "pass"
     assert built == [100]
 
@@ -347,12 +347,12 @@ def test_oracle_disagreement_fails_r24_and_count(monkeypatch, capsys):
 def test_r24_builds_the_count_array_once(monkeypatch):
     built = []
 
-    def blocks(nmax):
+    def fill(nmax):
         built.append(nmax)
-        return lattice._plane_norms(nmax)
+        return lattice._plane_counts(nmax)
 
     monkeypatch.setattr(lattice, "_plucker_counts",
-                        lattice.NormCounts(blocks, lattice.NORM_LIMIT))
+                        lattice.NormTable(fill, lattice.NORM_LIMIT))
     assert suites.run_suite("r24", dmax=100)["status"] == "pass"
     assert built == [100]
 
@@ -361,11 +361,12 @@ def test_r24_reports_one_moved_plucker_count(monkeypatch):
     """One extra solution of norm 45 in the count sweep: the Plucker count
     there is 769 against 768 Klein pairs, and r24 fails on that d alone."""
     def moved(nmax):
-        yield from lattice._plane_norms(nmax)
-        yield np.array([45])
+        counts = lattice._plane_counts(nmax)
+        counts[45] += 1
+        return counts
 
     monkeypatch.setattr(lattice, "_plucker_counts",
-                        lattice.NormCounts(moved, lattice.NORM_LIMIT))
+                        lattice.NormTable(moved, lattice.NORM_LIMIT))
     report = suites.run_suite("r24", dmax=60)
     assert report["status"] == "fail"
     assert report["detail"]["failures"] == [{"d": 45, "plucker": 769, "klein": 768}]
