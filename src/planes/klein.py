@@ -18,7 +18,6 @@ from planes.qform import (
     FormClass,
     QuadForm,
     class_group,
-    compose,
     genus_partition,
     gl2_class,
 )
@@ -259,7 +258,8 @@ def realizable_pair(c1: FormClass, c2: FormClass, n: int) -> bool:
     group, partition, target = genus_context(n)
     if c1.disc != -4 * n or c2.disc != -4 * n:
         raise ValueError("classes must have discriminant -4n")
-    return partition.genus_of_class(compose(c1, c2)) == target
+    product = group.product(group.index_of(c1), group.index_of(c2))
+    return partition.genus_of(product) == target
 
 
 def class_pairs(n: int):

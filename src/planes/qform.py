@@ -1,10 +1,16 @@
 """Positive definite binary quadratic forms and their class groups.
 
-Forms a*x^2 + b*x*y + c*y^2 are stored as integer triples.  Proper
+Forms a*x^2 + b*x*y + c*y^2 are integer triples (a, b, c).  Proper
 (SL_2) classes are named by the unique reduced representative with
 |b| <= a <= c and b >= 0 whenever |b| = a or a = c; a GL_2 class is the
 set {class, opposite class}.  Group structure is computed only for
 primitive forms.
+
+Reduction (`_reduced`), composition (`_composed`) and every `ClassGroup`
+product, square, inverse and genus run on plain triples; `QuadForm` and
+`FormClass` are the API edge, built by `reduce`, `compose` and
+`ClassGroup.classes`.  The inverse of a class is its reduced opposite,
+so it needs no composition table.
 """
 
 from __future__ import annotations
@@ -25,17 +31,6 @@ class QuadForm:
     @property
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    def content(self) -> int:
-        return gcd(gcd(abs(self.a), abs(self.b)), abs(self.c))
-
-    @property
-    def is_primitive(self) -> bool:
-        return self.content() == 1
-
-    @property
-    def is_positive_definite(self) -> bool:
-        return self.a > 0 and self.disc < 0
 
     def __call__(self, x: int, y: int) -> int:
         return self.a * x * x + self.b * x * y + self.c * y * y
@@ -62,11 +57,13 @@ def opposite(q: QuadForm) -> QuadForm:
     return QuadForm(q.a, -q.b, q.c)
 
 
-def reduce(q: QuadForm) -> QuadForm:
-    """Gauss reduction to the canonical proper-class representative."""
-    if not q.is_positive_definite:
+def _reduced(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """Gauss reduction of the triple to its canonical proper-class
+    representative."""
+    disc = b * b - 4 * a * c
+    if a <= 0 or disc >= 0:
         raise ValueError("form is not positive definite")
-    a, b, c = q.a, q.b, q.c
+    a0, b0, c0 = a, b, c
     while True:
         if a > c:
             a, b, c = c, -b, a
@@ -82,10 +79,15 @@ def reduce(q: QuadForm) -> QuadForm:
         break
     if b < 0 and (a == -b or a == c):
         b = -b
-    out = QuadForm(a, b, c)
-    if out.disc != q.disc:
-        raise ArithmeticError(f"reduction changed the discriminant of {q}")
-    return out
+    if b * b - 4 * a * c != disc:
+        raise ArithmeticError("reduction changed the discriminant of "
+                              f"{QuadForm(a0, b0, c0)}")
+    return a, b, c
+
+
+def reduce(q: QuadForm) -> QuadForm:
+    """Gauss reduction to the canonical proper-class representative."""
+    return QuadForm(*_reduced(q.a, q.b, q.c))
 
 
 @dataclass(frozen=True, order=True)
@@ -102,10 +104,6 @@ class FormClass:
     def disc(self) -> int:
         return self.form.disc
 
-    @property
-    def is_primitive(self) -> bool:
-        return self.form.is_primitive
-
     def opposite(self) -> "FormClass":
         return FormClass.of(opposite(self.form))
 
@@ -121,8 +119,10 @@ def principal_form(disc: int) -> QuadForm:
     raise ValueError("not a discriminant")
 
 
-def compose(c1: FormClass, c2: FormClass) -> FormClass:
-    """Gauss composition of proper classes of the same discriminant D.
+def _composed(f1: tuple[int, int, int],
+              f2: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Reduced triple of the composition of two forms of the same
+    discriminant D.
 
     Dirichlet composition (Cohen, A Course in Computational Algebraic
     Number Theory, 5.4): with s = (b1 + b2)/2 and d = gcd(a1, a2, s) =
@@ -131,22 +131,27 @@ def compose(c1: FormClass, c2: FormClass) -> FormClass:
     composed class.  It takes any two primitive forms as they are, and the
     computation is deterministic.
     """
-    if c1.disc != c2.disc:
+    a1, b1, c1 = f1
+    a2, b2, c2 = f2
+    D = b1 * b1 - 4 * a1 * c1
+    if b2 * b2 - 4 * a2 * c2 != D:
         raise ValueError("discriminants differ")
-    if not (c1.is_primitive and c2.is_primitive):
+    if gcd(a1, b1, c1) != 1 or gcd(a2, b2, c2) != 1:
         raise ValueError("composition needs primitive classes")
-    a1, b1 = c1.form.a, c1.form.b
-    a2, b2 = c2.form.a, c2.form.b
     s = (b1 + b2) // 2  # b1, b2 share the parity of D
     g, _, v = ext_gcd(a1, a2)
     d, x, w = ext_gcd(g, s)  # d = x (u a1 + v a2) + w s
-    B = b2 + 2 * (a2 // d) * ((x * v * (s - b2) - w * c2.form.c) % (a1 // d))
-    D = c1.disc
+    B = b2 + 2 * (a2 // d) * ((x * v * (s - b2) - w * c2) % (a1 // d))
     A = a1 * a2 // (d * d)
     num = B * B - D
     if num % (4 * A):
         raise ArithmeticError(f"composed form is not integral: {A}, {B}, {D}")
-    return FormClass.of(QuadForm(A, B, num // (4 * A)))
+    return _reduced(A, B, num // (4 * A))
+
+
+def compose(c1: FormClass, c2: FormClass) -> FormClass:
+    """Gauss composition of proper classes of the same discriminant."""
+    return FormClass(QuadForm(*_composed(c1.triple(), c2.triple())))
 
 
 def gl2_class(c: FormClass) -> frozenset[FormClass]:
@@ -155,29 +160,34 @@ def gl2_class(c: FormClass) -> frozenset[FormClass]:
 
 @dataclass(frozen=True)
 class ClassGroup:
-    """Form class group of a negative discriminant.
+    """Form class group of a negative discriminant, held as its sorted
+    reduced triples `forms` and their `index`.
 
     Products are composed on demand.  The composition `table`, h^2
     compositions, is built on first use only; `squares` takes h
     compositions and a genus partition h more."""
 
     disc: int
-    classes: tuple[FormClass, ...]
+    forms: tuple[tuple[int, int, int], ...]
     identity: int
-    index: dict[FormClass, int] = field(compare=False, repr=False)
+    index: dict[tuple[int, int, int], int] = field(compare=False, repr=False)
+
+    @cached_property
+    def classes(self) -> tuple[FormClass, ...]:
+        return tuple(FormClass(QuadForm(*f)) for f in self.forms)
 
     @property
     def order(self) -> int:
-        return len(self.classes)
+        return len(self.forms)
 
     def index_of(self, c: FormClass) -> int:
         try:
-            return self.index[c]
+            return self.index[c.triple()]
         except KeyError:
             raise ValueError(f"{c} is not a primitive class of disc {self.disc}")
 
     def product(self, i: int, j: int) -> int:
-        return self.index[compose(self.classes[i], self.classes[j])]
+        return self.index[_composed(self.forms[i], self.forms[j])]
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
@@ -185,8 +195,8 @@ class ClassGroup:
                      for i in range(self.order))
 
     def inverse(self, i: int) -> int:
-        row = self.table[i]
-        return row.index(self.identity)
+        a, b, c = self.forms[i]
+        return self.index[_reduced(a, -b, c)]
 
     @cached_property
     def _squares(self) -> tuple[int, ...]:
@@ -198,22 +208,21 @@ class ClassGroup:
     def to_json_dict(self) -> dict:
         return {
             "disc": self.disc,
-            "forms": [list(c.triple()) for c in self.classes],
+            "forms": [list(f) for f in self.forms],
             "table": [list(r) for r in self.table],
             "genera": [list(g) for g in genus_partition(self).genera],
         }
 
 
 def class_group(disc: int) -> ClassGroup:
-    """Enumerate the reduced primitive forms of the discriminant."""
+    """Enumerate the reduced primitive forms of the discriminant: for each
+    a, b runs over (-a, a] in steps of 2 from the first b = disc (mod 2)."""
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError("not a negative discriminant")
     forms = []
     amax = isqrt(-disc // 3)
     for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
-            if (b - disc) % 2:
-                continue
+        for b in range(1 - a + (a + 1 + disc) % 2, a + 1, 2):
             num = b * b - disc
             if num % (4 * a):
                 continue
@@ -222,14 +231,13 @@ def class_group(disc: int) -> ClassGroup:
                 continue
             if b < 0 and (a == -b or a == c):
                 continue
-            q = QuadForm(a, b, c)
-            if q.is_primitive:
-                forms.append(FormClass(q))
+            if gcd(a, b, c) == 1:
+                forms.append((a, b, c))
     forms.sort()
-    index = {c: i for i, c in enumerate(forms)}
-    ident = index[FormClass.of(principal_form(disc))]
-    return ClassGroup(disc=disc, classes=tuple(forms), identity=ident,
-                      index=index)
+    index = {f: i for i, f in enumerate(forms)}
+    p = principal_form(disc)
+    return ClassGroup(disc=disc, forms=tuple(forms),
+                      identity=index[_reduced(p.a, p.b, p.c)], index=index)
 
 
 @dataclass(frozen=True)

@@ -155,10 +155,11 @@ def check_gauss_genus(nmax: int = 200) -> dict:
         group = qform.class_group(-4 * n)
         partition = qform.genus_partition(group)
         classes = klein.orthogonal_classes(repnum.sphere_points(n))
-        failures += [{"n": n, "form": c.triple(),
-                      "why": f"not a class of disc {-4 * n}"}
-                     for c in classes if c not in group.index]
-        genera = {partition.genus_of_class(c) for c in classes if c in group.index}
+        forms = [c.triple() for c in classes]
+        failures += [{"n": n, "form": f, "why": f"not a class of disc {-4 * n}"}
+                     for f in forms if f not in group.index]
+        genera = {partition.genus_of(group.index[f])
+                  for f in forms if f in group.index}
         if len(genera) != 1:
             failures.append({"n": n, "distinct_genera": len(genera)})
     return _report("gauss-genus", failures, {"nmax": nmax})

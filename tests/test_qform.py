@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planes import qform
 from planes.qform import (
     ClassGroup,
     FormClass,
@@ -30,10 +31,31 @@ def test_reduce_examples():
 
 
 def test_reduce_rejects_indefinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="form is not positive definite"):
         reduce(QuadForm(1, 0, -1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="form is not positive definite"):
         reduce(QuadForm(-1, 0, -1))
+
+
+def test_compose_refusals_keep_their_messages():
+    c20 = class_group(-20).classes[0]
+    c23 = class_group(-23).classes[0]
+    with pytest.raises(ValueError, match="discriminants differ"):
+        compose(c20, c23)
+    doubled = FormClass(QuadForm(2, 2, 2))  # disc -12, content 2
+    with pytest.raises(ValueError, match="composition needs primitive classes"):
+        compose(doubled, class_group(-12).classes[0])
+    with pytest.raises(ValueError, match="composition needs primitive classes"):
+        compose(class_group(-12).classes[0], doubled)
+
+
+def test_compose_refuses_a_non_integral_form(monkeypatch):
+    """Zero Bezout cofactors leave B = b2, and (2, 1, 3) with itself then
+    gives (B^2 - D) / 4A = 24/16."""
+    monkeypatch.setattr(qform, "ext_gcd", lambda a, b: (gcd(a, b), 0, 0))
+    c = FormClass(QuadForm(2, 1, 3))
+    with pytest.raises(ArithmeticError, match="composed form is not integral"):
+        compose(c, c)
 
 
 form_strategy = st.builds(
@@ -117,6 +139,71 @@ def test_inverse_is_opposite():
     for c in g.classes:
         assert compose(c, c.opposite()) == g.classes[g.identity]
         assert g.table[g.index_of(c)][g.index_of(c.opposite())] == g.identity
+
+
+INVERSE_DISCS = [-20, -23, -56, -84, -4 * 1105]
+
+
+@pytest.mark.parametrize("disc", INVERSE_DISCS)
+def test_inverse_builds_no_table(monkeypatch, disc):
+    def refuse(self):
+        raise RuntimeError("composition table built")
+
+    g = class_group(disc)
+    monkeypatch.setattr(ClassGroup, "table", property(refuse))
+    inverses = [g.inverse(i) for i in range(g.order)]
+    monkeypatch.undo()
+    assert all(g.table[i][inv] == g.identity for i, inv in enumerate(inverses))
+
+
+def test_product_path_builds_no_dataclass(monkeypatch):
+    g = class_group(-4 * 399)
+    built = []
+    for cls in (QuadForm, FormClass):
+        real = cls.__init__
+
+        def counted(self, *args, real=real, **kwargs):
+            built.append(type(self).__name__)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    squares = g.squares()
+    part = genus_partition(g)
+    table = g.table
+    assert built == []
+    assert len(squares) > 1 and part.count > 1 and len(table) == g.order
+
+
+@pytest.mark.parametrize("disc", [-3, -23, -47, -84, -4 * 399])
+def test_product_is_compose_on_the_classes(disc):
+    g = class_group(disc)
+    for i, ci in enumerate(g.classes):
+        for j, cj in enumerate(g.classes):
+            assert g.product(i, j) == g.index_of(compose(ci, cj))
+
+
+def _brute_reduced_forms(disc: int) -> list:
+    """Reduced primitive triples of the discriminant, every b in turn."""
+    out = []
+    for a in range(1, isqrt(-disc // 3) + 1):
+        for b in range(-a, a + 1):
+            num = b * b - disc
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a or gcd(gcd(a, b), c) != 1:
+                continue
+            if b < 0 and (b == -a or a == c):
+                continue
+            out.append((a, b, c))
+    return sorted(out)
+
+
+def test_enumeration_matches_a_brute_scan():
+    """Every discriminant down to -4000, past the digest's -1596."""
+    for disc in range(-3, -4001, -1):
+        if disc % 4 in (0, 1):
+            assert list(class_group(disc).forms) == _brute_reduced_forms(disc), disc
 
 
 def _primitive_values(q: QuadForm, bound: int) -> set:
