@@ -131,6 +131,8 @@ L_VALUE_ATOL = 1e-6
 
 
 def check_l_value(dmax: int = 200) -> dict:
+    """The character sum of L(1, chi_{-d0}) against pi r3(d0)/(24 sqrt d0)
+    for each squarefree d0 = 3 mod 8 from 11 to dmax, within L_VALUE_ATOL."""
     _refuse_below("dmax", dmax, 11)
     repnum.warm_sphere_cache(dmax)
     failures = []

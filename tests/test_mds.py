@@ -330,6 +330,75 @@ def test_l_value_sum_is_the_exact_rational_sum(monkeypatch, d0, terms):
         float(head + tail), abs=1e-13)
 
 
+def _fsum_columns(d0, rows):
+    """Correctly rounded sum_{k < rows} 1/(k d0 + r) for r = 1..d0."""
+    k = np.arange(rows, dtype=np.float64)[:, None]
+    terms = 1.0 / (k * d0 + np.arange(1, d0 + 1))
+    return [math.fsum(column) for column in terms.T.tolist()]
+
+
+@pytest.mark.parametrize("d0", [11, 395, 1003, 8187])
+def test_l_value_columns_match_correctly_rounded_sums(d0):
+    """Each residue column, direct rows plus the Euler-Maclaurin remainder,
+    within 4 ulps of the fsum of its terms: rows below, at and one past
+    the direct rows, and the L_TERMS // d0 rows the check uses.  8187 is
+    near the sphere-table limit that bounds --dmax, with several direct
+    blocks of _L_CHUNK terms."""
+    direct = mds._L_DIRECT_ROWS
+    for rows in (direct - 1, direct, direct + 1, mds.L_TERMS // d0):
+        ours = mds._column_sums(d0, rows)
+        for got, want in zip(ours, _fsum_columns(d0, rows)):
+            assert abs(got - want) <= 4 * math.ulp(want), (rows, got, want)
+
+
+@pytest.mark.parametrize("d0", [11, 19, 131, 395])
+def test_l_value_character_sum_matches_fsum_of_all_terms(d0):
+    """The whole check against fsum of all L_TERMS terms plus the averaged
+    tail, far tighter than the one-shot comparison."""
+    terms = mds.L_TERMS
+    chi = np.array([repnum.kronecker_symbol(-d0, a) for a in range(d0)],
+                   dtype=np.float64)
+    n = np.arange(1, terms + 1)
+    partial = np.cumsum(chi[(terms + 1 + np.arange(d0 - 1)) % d0])
+    reference = (math.fsum((chi[n % d0] / n).tolist())
+                 + float(partial.sum()) / d0 / (terms + 1))
+    assert l_value_check(d0)["character_sum"] == pytest.approx(
+        reference, abs=4e-15)
+
+
+@pytest.mark.parametrize("d0", [11, 395])
+def test_l_value_every_correction_term_is_visible(monkeypatch, d0):
+    """With 8 direct rows the first omitted term is |B_10|/10 8^-10 / d0
+    = 7.0e-12/d0 per column, while the smallest kept one, B_8/8 v^8 / d0
+    with v >= 1/9, is at least 9.7e-11/d0.  A tolerance of 2.1e-11/d0
+    between them fails on any kept term dropped or sign-flipped, on the
+    half-sum dropped, and on the seam row counted twice or skipped."""
+    monkeypatch.setattr(mds, "_L_DIRECT_ROWS", 8)
+    rows = mds.L_TERMS // d0
+    tol = 3 * 8.0 ** -10 / 132 / d0
+    ours = mds._column_sums(d0, rows)
+    for got, want in zip(ours, _fsum_columns(d0, rows)):
+        assert got == pytest.approx(want, rel=0, abs=tol)
+
+
+def _bernoulli(m):
+    b = [Fraction(1)]
+    for j in range(1, m + 1):
+        b.append(-sum(math.comb(j + 1, i) * b[i] for i in range(j)) / (j + 1))
+    return b[m]
+
+
+def test_l_value_remainder_bound_guard():
+    """The kept terms are B_2j/(2j), and the first omitted one at the
+    direct-row seam stays below 1e-17 per column at d0 = 11."""
+    kept = mds._L_BERNOULLI
+    for j, c in enumerate(kept, 1):
+        assert c == pytest.approx(float(_bernoulli(2 * j) / (2 * j)), rel=1e-15)
+    m = 2 * len(kept) + 2
+    omitted = abs(_bernoulli(m)) / m * Fraction(1, mds._L_DIRECT_ROWS ** m) / 11
+    assert omitted < Fraction(1, 10 ** 17)
+
+
 @pytest.mark.parametrize("d0", [11, 395])
 def test_l_value_check_memory_is_bounded(d0):
     """The head sum holds one block buffer of _L_CHUNK float64 terms
