@@ -41,7 +41,6 @@ from planes.klein import (
     gauss_map,
     klein_map,
     mu_image,
-    realizable_pair,
 )
 from planes.mds import (
     MultiPoly,

@@ -20,6 +20,7 @@ from planes.qform import (
     class_group,
     genus_partition,
     gl2_class,
+    reduced,
 )
 from planes.quaternion import Quaternion, TracelessQuaternion
 
@@ -146,35 +147,31 @@ def orthogonal_lattice_z3(v) -> tuple[tuple[int, ...], ...]:
     return integer_kernel([list(v)])
 
 
-def _class_of_gram(g00: int, g01: int, g11: int) -> FormClass:
-    return FormClass.of(QuadForm(g00, 2 * g01, g11))
-
-
 def gauss_map(v) -> frozenset:
     """GL2 class of the quadratic form on the lattice orthogonal to v."""
     b1, b2 = orthogonal_lattice_z3(v)
     g00 = sum(c * c for c in b1)
     g01 = sum(a * b for a, b in zip(b1, b2))
     g11 = sum(c * c for c in b2)
-    return gl2_class(_class_of_gram(g00, g01, g11))
+    return gl2_class(FormClass.of(QuadForm(g00, 2 * g01, g11)))
 
 
-def gram_classes(bases) -> tuple[list[FormClass], np.ndarray]:
-    """Proper classes of the forms on the bases (N, 2, k): a list of
-    classes, one per distinct Gram matrix, and the index in it of the class
-    on each basis.  The distinct ones are found with a dict, since numpy's
-    row de-duplication imports numpy.ma on first use."""
+def gram_classes(bases) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+    """Proper classes of the forms on the bases (N, 2, k), as reduced
+    triples: a list of them, one per distinct Gram matrix, and the index in
+    it of the class on each basis.  The distinct ones are found with a
+    dict, since numpy's row de-duplication imports numpy.ma on first use."""
     g = np.einsum("nak,nbk->nab", bases, bases)
     grams = list(zip(g[:, 0, 0].tolist(), g[:, 0, 1].tolist(), g[:, 1, 1].tolist()))
     slot = {f: k for k, f in enumerate(dict.fromkeys(grams))}
-    return ([_class_of_gram(*f) for f in slot],
+    return ([reduced(g00, 2 * g01, g11) for g00, g01, g11 in slot],
             np.fromiter(map(slot.__getitem__, grams), np.intp, len(grams)))
 
 
-def orthogonal_classes(points) -> list[FormClass]:
-    """Sorted distinct proper classes of the forms on v^perp, v over the
-    primitive points, on the bases of `orthogonal_bases`.  Each class
-    stands for its `gauss_map` GL2 class."""
+def orthogonal_classes(points) -> list[tuple[int, int, int]]:
+    """Sorted distinct reduced triples of the forms on v^perp, v over the
+    primitive points, on the bases of `orthogonal_bases`.  Each stands for
+    its `gauss_map` GL2 class."""
     return sorted(set(gram_classes(orthogonal_bases(points))[0]))
 
 
@@ -241,37 +238,31 @@ def genus_context(n: int):
         raise ValueError("theorem hypotheses not met: need squarefree n = 1, 2 mod 4")
     group = class_group(-4 * n)
     partition = genus_partition(group)
-    classes = orthogonal_classes(repnum.sphere_points(n))
-    if not classes:
+    forms = orthogonal_classes(repnum.sphere_points(n))
+    if not forms:
         raise ValueError(f"{n} is not a sum of three squares")
-    genera = {partition.genus_of_class(c) for c in classes}
+    if not group.index.keys() >= set(forms):
+        raise ValueError(f"a form is not a primitive class of disc {-4 * n}")
+    genera = {partition.genus_of(group.index[f]) for f in forms}
     if len(genera) != 1:
         raise ArithmeticError(f"image genus is not constant at n={n}")
     target, = genera
     return group, partition, target
 
 
-def realizable_pair(c1: FormClass, c2: FormClass, n: int) -> bool:
-    """Whether some plane of norm n has form c1 with complement form c2,
-    decided by the genus of the composed pair."""
+def class_pairs(n: int):
+    """The observed (plane form, complement form) pairs of reduced triples
+    of the planes of norm n, on `lattice.plane_bases`; the pairs whose
+    composition lies in the genus of `genus_context`; and the Plucker rows
+    whose complement is not among the planes."""
     _require_theorem_norm(n)
     group, partition, target = genus_context(n)
-    if c1.disc != -4 * n or c2.disc != -4 * n:
-        raise ValueError("classes must have discriminant -4n")
-    product = group.product(group.index_of(c1), group.index_of(c2))
-    return partition.genus_of(product) == target
-
-
-def class_pairs(n: int):
-    """The observed (plane form, complement form) class pairs of the planes
-    of norm n, on `lattice.plane_bases`; the pairs `realizable_pair`
-    admits; and the Plucker rows whose complement is not among the planes."""
-    group, _, _ = genus_context(n)
     rows = lattice.plucker_arrays(n)
-    classes, which = gram_classes(lattice.plane_bases(rows))
+    forms, which = gram_classes(lattice.plane_bases(rows))
     comp = lattice.complement_index(rows)
     pairs = set(zip(which[comp >= 0].tolist(), which[comp[comp >= 0]].tolist()))
-    observed = {(classes[i], classes[j]) for i, j in pairs}
-    admitted = {(c1, c2) for c1 in group.classes for c2 in group.classes
-                if realizable_pair(c1, c2, n)}
+    observed = {(forms[i], forms[j]) for i, j in pairs}
+    h = range(group.order)
+    admitted = {(group.forms[i], group.forms[j]) for i in h for j in h
+                if partition.genus_of(group.product(i, j)) == target}
     return observed, admitted, rows[comp < 0]

@@ -156,8 +156,7 @@ def check_gauss_genus(nmax: int = 200) -> dict:
             continue
         group = qform.class_group(-4 * n)
         partition = qform.genus_partition(group)
-        classes = klein.orthogonal_classes(repnum.sphere_points(n))
-        forms = [c.triple() for c in classes]
+        forms = klein.orthogonal_classes(repnum.sphere_points(n))
         failures += [{"n": n, "form": f, "why": f"not a class of disc {-4 * n}"}
                      for f in forms if f not in group.index]
         genera = {partition.genus_of(group.index[f])
@@ -254,12 +253,16 @@ def check_pair_genus(nmax: int = 150) -> dict:
                      for p in lost.tolist()]
         if observed != predicted:
             failures.append({"n": n, "observed": len(observed),
-                             "predicted": len(predicted)})
+                             "predicted": len(predicted),
+                             "observed_only": sorted(observed - predicted),
+                             "predicted_only": sorted(predicted - observed)})
     return _report("pair-genus", failures, {"nmax": nmax})
 
 
 def check_genus_structure(nmax: int = 300) -> dict:
     """Genus count equals the index of the squares and is a power of two."""
+    if 4 * nmax > qform.DISC_LIMIT:
+        raise ValueError(f"nmax {nmax} is past {qform.DISC_LIMIT // 4}: class group limit")
     failures = []
     for n in range(1, nmax + 1):
         group = qform.class_group(-4 * n)

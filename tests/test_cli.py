@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from planes import lattice, mds, repnum, suites
+from planes import lattice, mds, qform, repnum, suites
 from planes.cli import _build_parser, cmd_dispatch
 
 
@@ -163,6 +163,26 @@ def test_classgroup_rejects_positive(capsys):
     code, _, err = run(capsys, "classgroup", "--disc", "5")
     assert code == 2
     assert "discriminant" in err
+
+
+def test_classgroup_past_the_disc_limit_is_refused_before_enumerating(
+        capsys, monkeypatch):
+    """A |disc| past `DISC_LIMIT` exits 2 before a form is enumerated, and
+    so does genus-structure at an nmax that would reach one; the limit
+    itself is a class group."""
+    def refuse(n):
+        raise AssertionError(f"enumerated to {n}")
+
+    assert qform.class_group(-qform.DISC_LIMIT).order > 0
+    monkeypatch.setattr(qform, "isqrt", refuse)
+    for disc in (-qform.DISC_LIMIT - 3, -qform.DISC_LIMIT - 4, -4_000_004):
+        code, out, err = run(capsys, "classgroup", "--disc", str(disc))
+        assert code == 2 and out == ""
+        assert "class group limit" in err
+    past = str(qform.DISC_LIMIT // 4 + 1)
+    code, out, err = run(capsys, "verify", "genus-structure", "--nmax", past)
+    assert code == 2 and out == ""
+    assert "class group limit" in err
 
 
 def test_series_small_truncation_fails_identity(capsys):

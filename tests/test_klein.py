@@ -25,7 +25,6 @@ from planes.klein import (
     orthogonal_lattice_z3,
     pair_count,
     pairs_for_norm,
-    realizable_pair,
 )
 from planes.lattice import (
     Plane,
@@ -34,7 +33,7 @@ from planes.lattice import (
     orthogonal_bases,
     plucker_of_basis,
 )
-from planes.qform import FormClass, QuadForm, class_group, gl2_class
+from planes.qform import FormClass, QuadForm, class_group, compose, gl2_class
 from planes.quaternion import Quaternion, TracelessQuaternion
 
 I_HAT = TracelessQuaternion(1, 0, 0)
@@ -183,7 +182,7 @@ def test_orthogonal_bases_span_the_kernel_lattice():
 @pytest.mark.parametrize("n", [1, 2, 5, 6, 10, 21, 41, 42, 105])
 def test_orthogonal_classes_are_the_gauss_map(n):
     pts = repnum.sphere_points(n)
-    assert ({gl2_class(c) for c in orthogonal_classes(pts)}
+    assert ({gl2_class(FormClass(QuadForm(*f))) for f in orthogonal_classes(pts)}
             == {gauss_map(v) for v in pts.tolist()})
 
 
@@ -273,63 +272,62 @@ def test_genus_context_single_genus():
         genus_context(45)  # not squarefree
 
 
-def test_realizable_pair_disc_minus_20():
-    g = class_group(-20)
-    principal = g.classes[g.identity]
-    other = next(c for c in g.classes if c != principal)
-    assert realizable_pair(principal, principal, 5)
-    assert realizable_pair(other, other, 5)
-    assert not realizable_pair(principal, other, 5)
-    assert not realizable_pair(other, principal, 5)
+def test_genus_context_rejects_a_form_outside_the_group(monkeypatch):
+    genus_context.cache_clear()
+    monkeypatch.setattr(klein, "orthogonal_classes",
+                        lambda points: [(2, 2, 3), (2, 0, 10)])  # disc -20, -80
+    with pytest.raises(ValueError, match="not a primitive class of disc -20"):
+        genus_context(5)
 
 
-def test_realizable_pair_validation():
+def test_class_pairs_admit_matching_classes_at_disc_minus_20():
     g = class_group(-20)
-    principal = g.classes[g.identity]
-    with pytest.raises(ValueError):
-        realizable_pair(principal, principal, 6)
-    with pytest.raises(ValueError):
-        realizable_pair(principal, principal, 45)
-    wrong = FormClass.of(QuadForm(1, 0, 1))
-    with pytest.raises(ValueError):
-        realizable_pair(wrong, principal, 5)
+    principal = g.forms[g.identity]
+    other, = (f for f in g.forms if f != principal)
+    _, admitted, _ = class_pairs(5)
+    assert admitted == {(principal, principal), (other, other)}
+
+
+def test_class_pairs_validation():
+    for n in (6, 45):  # 2 mod 4; not squarefree
+        with pytest.raises(ValueError, match="squarefree norm 1 mod 4"):
+            class_pairs(n)
+
+
+def _triple(form) -> tuple:
+    return FormClass.of(QuadForm(*form)).triple()
 
 
 def test_gram_classes_are_the_plane_forms():
     for n in range(1, 31):
         planes = enumerate_planes(n)
         bases = np.array([p.basis for p in planes], dtype=np.int64).reshape(-1, 2, 4)
-        classes, which = gram_classes(bases)
-        assert [classes[k] for k in which.tolist()] == [
-            FormClass.of(QuadForm(*p.binary_form())) for p in planes]
+        forms, which = gram_classes(bases)
+        assert [forms[k] for k in which.tolist()] == [
+            _triple(p.binary_form()) for p in planes]
 
 
 def test_class_pairs_are_the_object_path():
     """`class_pairs` against planes rebuilt one at a time with their
-    complements, the way the genus survey computed them before."""
+    complements, the way the genus survey computed them before, and
+    against the genus rule on `compose` of the class objects."""
     for n in range(5, 46, 4):
         if not repnum.is_squarefree(n):
             continue
         observed, admitted, lost = class_pairs(n)
-        group, _, _ = genus_context(n)
+        group, partition, target = genus_context(n)
         assert observed == {
-            (FormClass.of(QuadForm(*p.binary_form())),
-             FormClass.of(QuadForm(*p.orthogonal_complement().binary_form())))
+            (_triple(p.binary_form()), _triple(p.orthogonal_complement().binary_form()))
             for p in enumerate_planes(n)}
-        assert admitted == {(c1, c2) for c1 in group.classes for c2 in group.classes
-                            if realizable_pair(c1, c2, n)}
+        assert admitted == {
+            (c1.triple(), c2.triple()) for c1 in group.classes for c2 in group.classes
+            if partition.genus_of(group.index_of(compose(c1, c2))) == target}
         assert not len(lost)
 
 
 def test_realizable_pairs_are_observed():
     """Predicted pairs at n = 13 coincide with the enumerated ones."""
-    n = 13
-    group, _, _ = genus_context(n)
-    observed = set()
-    for p in enumerate_planes(n):
-        c1 = FormClass.of(QuadForm(*p.binary_form()))
-        c2 = FormClass.of(QuadForm(*p.orthogonal_complement().binary_form()))
-        observed.add((c1, c2))
-    predicted = {(c1, c2) for c1 in group.classes for c2 in group.classes
-                 if realizable_pair(c1, c2, n)}
-    assert observed == predicted
+    observed = {
+        (_triple(p.binary_form()), _triple(p.orthogonal_complement().binary_form()))
+        for p in enumerate_planes(13)}
+    assert observed == class_pairs(13)[1]

@@ -270,6 +270,49 @@ def test_gauss_genus_reports_a_sublattice(monkeypatch):
     assert all(QuadForm(*r["form"]).disc == -16 * r["n"] for r in records)
 
 
+def test_pair_genus_reports_a_shifted_genus(monkeypatch):
+    """With the genus rule moved to the next genus, every n with more than
+    one genus fails, and each record names the pairs on either side."""
+    real = klein.genus_context
+
+    def shifted(n):
+        group, partition, target = real(n)
+        return group, partition, (target + 1) % partition.count
+
+    monkeypatch.setattr(klein, "genus_context", shifted)
+    report = suites.check_pair_genus(nmax=30)
+    assert report["status"] == "fail"
+    records = report["detail"]["failures"]
+    assert [r["n"] for r in records] == [5, 13, 17, 21, 29]
+    assert records[0] == {
+        "n": 5, "observed": 2, "predicted": 2,
+        "observed_only": [((1, 0, 5), (1, 0, 5)), ((2, 2, 3), (2, 2, 3))],
+        "predicted_only": [((1, 0, 5), (2, 2, 3)), ((2, 2, 3), (1, 0, 5))]}
+    for r in records:
+        observed, predicted, _ = klein.class_pairs(r["n"])
+        assert r["observed_only"] == sorted(observed - predicted)
+        assert r["predicted_only"] == sorted(predicted - observed)
+        assert r["observed_only"] and r["predicted_only"]
+
+
+def test_gauss_and_pair_genus_build_no_form_objects(monkeypatch):
+    """The genus suites stay on reduced triples from the Gram matrix to the
+    verdict: no `QuadForm` or `FormClass` is built."""
+    klein.genus_context.cache_clear()
+    built = []
+    for cls in (qform.QuadForm, qform.FormClass):
+        real = cls.__init__
+
+        def counted(self, *args, real=real, **kwargs):
+            built.append(type(self).__name__)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert suites.check_gauss_genus(nmax=150)["status"] == "pass"
+    assert suites.check_pair_genus(nmax=30)["status"] == "pass"
+    assert built == []
+
+
 def test_forms_suites_build_no_composition_table(monkeypatch):
     def refuse(self):
         raise RuntimeError("composition table built")
