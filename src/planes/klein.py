@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -113,10 +114,63 @@ def _pair_scan(n: int):
             yield w1[:, 0], w2, ~quarter & (np.gcd(odd[block, None], odd[idx]) == 1)
 
 
+# w mod 4 of a vector of Z^3 as three base-4 digits, and the parity bit of
+# each digit: w1 and w2 are congruent mod 2 iff their keys agree on
+# _ODD_BITS, and w1 + w2, w1 - w2 both lie in 4Z^3 iff the keys are equal
+# and have no odd bit (both vectors even, w1 = w2 mod 4)
+_MOD4 = np.array([16, 4, 1])
+_ODD_BITS = 0b010101
+
+
+def _pair_counts(nmax: int) -> np.ndarray:
+    """Pairs of `_pair_scan` of each norm 0..nmax, in one pass over
+    `lattice.ball`.  The pair test reads only the key of each vector,
+    w mod 4 and the odd part o of its content, so the points are
+    histogrammed by (norm, o, key), slab by slab: o^2 divides the norm, and
+    o has one row per multiple of o^2 up to nmax.  Within each norm, the
+    counts of two keys with coprime o are multiplied where the keys pass
+    the test; the sum is at most r3(n)^2, far inside int64.  Joint negation
+    maps the pairs onto themselves with no fixed point, so the pairs with
+    w1 sign-normalized are half of them."""
+    odd = np.arange(1, isqrt(nmax) + 1, 2)
+    height = nmax // odd ** 2 + 1
+    start = np.cumsum(height) - height
+    hist = np.zeros(64 * int(height.sum()), dtype=np.int64)
+    for ns, pts in lattice.ball(nmax):
+        g = np.gcd.reduce(pts, axis=1)
+        o = g // (g & -g)
+        row = start[o // 2] + ns // (o * o)
+        hist += np.bincount(64 * row + (pts & 3) @ _MOD4, minlength=len(hist))
+    hist = hist.reshape(-1, 64)
+    m1, m2 = np.ogrid[:64, :64]
+    test = ((((m1 ^ m2) & _ODD_BITS) == 0)
+            & ~((m1 == m2) & ((m1 & _ODD_BITS) == 0))).astype(np.int64)
+    counts = np.zeros(nmax + 1, dtype=np.int64)
+    for i, p in enumerate(odd.tolist()):
+        for j, q in enumerate(odd.tolist()):
+            if (p * q) ** 2 > nmax or gcd(p, q) != 1:
+                continue
+            k = np.arange(1, nmax // (p * q) ** 2 + 1)
+            counts[(p * q) ** 2 * k] += ((hist[start[i] + q * q * k] @ test)
+                                         * hist[start[j] + p * p * k]).sum(axis=1)
+    return counts // 2
+
+
+_pair_table = lattice.NormTable(_pair_counts, lattice.NORM_LIMIT)
+
+
+def warm_pair_cache(nmax: int) -> None:
+    """Ensure the pair counts cover every norm up to nmax."""
+    _pair_table.warm(nmax)
+
+
 def pair_count(n: int) -> int:
+    """Number of pairs of `pair_array(n)`, read off the count table: no
+    pair is listed and no sphere point is kept."""
     if n < 1:
         raise ValueError("norm must be positive")
-    return sum(int(np.count_nonzero(mask)) for _, _, mask in _pair_scan(n))
+    warm_pair_cache(n)
+    return int(_pair_table.get(n))
 
 
 def pair_array(n: int) -> np.ndarray:

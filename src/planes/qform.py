@@ -180,12 +180,6 @@ class ClassGroup:
     def order(self) -> int:
         return len(self.forms)
 
-    def index_of(self, c: FormClass) -> int:
-        try:
-            return self.index[c.triple()]
-        except KeyError:
-            raise ValueError(f"{c} is not a primitive class of disc {self.disc}")
-
     def product(self, i: int, j: int) -> int:
         return self.index[_composed(self.forms[i], self.forms[j])]
 

@@ -31,6 +31,7 @@ def _refuse_below(name: str, bound: int, first: int) -> None:
 def check_r24(dmax: int = 500) -> dict:
     """Closed formula against both enumerations, d up to dmax."""
     lattice.warm_count_cache(dmax)
+    klein.warm_pair_cache(dmax)
     repnum.warm_sphere_cache(dmax)
     failures = []
     for d in range(1, dmax + 1):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from planes import lattice, mds, qform, repnum, suites
+from planes import klein, lattice, mds, qform, repnum, suites
 from planes.cli import _build_parser, cmd_dispatch
 
 
@@ -239,6 +239,8 @@ def test_norm_past_a_cache_limit_is_refused_before_any_fill(capsys, monkeypatch)
     monkeypatch.setattr(lattice, "_plucker_table",
                         lattice.NormTable(refuse, lattice.ROW_LIMIT))
     monkeypatch.setattr(repnum, "_sphere_table",
+                        lattice.NormTable(refuse, lattice.NORM_LIMIT))
+    monkeypatch.setattr(klein, "_pair_table",
                         lattice.NormTable(refuse, lattice.NORM_LIMIT))
     past_rows, past_norms = str(lattice.ROW_LIMIT + 1), str(lattice.NORM_LIMIT + 1)
     for argv in (["count", "--disc", "100000"], ["count", "--disc", past_norms],

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -138,6 +139,41 @@ def test_pair_scan_matches_the_per_w1_loop(monkeypatch):
             assert pair_count(n) == count
             assert pairs_for_norm(n) == pairs
             assert klein.pair_array(n).tolist() == [list(map(list, p)) for p in pairs]
+
+
+def _one_sphere(n):
+    """The points of norm n, lexicographically sorted, filtered off the
+    slabs of `lattice.ball` as they stream: no table of lower norms."""
+    pts = np.concatenate([p[ns == n] for ns, p in lattice.ball(n)])
+    return pts[lattice.lex_order(pts)]
+
+
+def test_pair_count_is_the_number_of_listed_pairs(monkeypatch):
+    """The count table against the listing of `_pair_scan`, at every norm
+    n <= 600 and at large norms with several odd contents, e = 0 and e = 1:
+    3,675 = 3 * 35^2, 4,099 (prime), 7,225 = 85^2, 8,189, 8,190 = 2 * 3^2 * 455
+    and 8,100 = 4 * 45^2.  Past 600 the listing reads its sphere points one
+    norm at a time, so the test fills no sphere table to 8,190."""
+    klein.warm_pair_cache(600)
+    for n in range(1, 601):
+        assert pair_count(n) == len(klein.pair_array(n)), n
+    monkeypatch.setattr(repnum, "sphere_points", _one_sphere)
+    for n in (3675, 4099, 7225, 8100, 8189, 8190):
+        assert pair_count(n) == len(klein.pair_array(n)), n
+
+
+def test_pair_count_fill_streams_the_ball():
+    """A fill to 2,048 keeps one slab of `lattice.ball` and the histogram
+    at a time: its traced peak is about 3.5 MB, where concatenating the
+    ball and its contents alone holds about 25 MB."""
+    tracemalloc.start()
+    try:
+        counts = klein._pair_counts(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == 2049
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_pair_count_rejects_nonpositive():
@@ -321,7 +357,7 @@ def test_class_pairs_are_the_object_path():
             for p in enumerate_planes(n)}
         assert admitted == {
             (c1.triple(), c2.triple()) for c1 in group.classes for c2 in group.classes
-            if partition.genus_of(group.index_of(compose(c1, c2))) == target}
+            if partition.genus_of(group.index[compose(c1, c2).triple()]) == target}
         assert not len(lost)
 
 

@@ -388,16 +388,21 @@ def test_oracle_disagreement_fails_r24_and_count(monkeypatch, capsys):
 
 
 def test_r24_builds_the_count_array_once(monkeypatch):
+    """The Plucker and the Klein count tables are each filled once, to dmax."""
     built = []
 
-    def fill(nmax):
-        built.append(nmax)
-        return lattice._plane_counts(nmax)
+    def counted(fill):
+        def wrapper(nmax):
+            built.append((fill.__name__, nmax))
+            return fill(nmax)
+        return wrapper
 
     monkeypatch.setattr(lattice, "_plucker_counts",
-                        lattice.NormTable(fill, lattice.NORM_LIMIT))
+                        lattice.NormTable(counted(lattice._plane_counts), lattice.NORM_LIMIT))
+    monkeypatch.setattr(klein, "_pair_table",
+                        lattice.NormTable(counted(klein._pair_counts), lattice.NORM_LIMIT))
     assert suites.run_suite("r24", dmax=100)["status"] == "pass"
-    assert built == [100]
+    assert sorted(built) == [("_pair_counts", 100), ("_plane_counts", 100)]
 
 
 def test_r24_reports_one_moved_plucker_count(monkeypatch):
