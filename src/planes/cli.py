@@ -15,7 +15,9 @@ import functools
 import inspect
 import io
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import klein, lattice, qform, repnum, suites
 
@@ -281,9 +283,71 @@ def _render_text(payload: dict, cmd: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _scalar(o) -> str:
+    """JSON text of None, a bool, an int or a float, spelled as `json` does
+    (NaN, Infinity and -Infinity included)."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _write_json(o, pad: str, out: list) -> None:
+    """Append to out the pieces of `json.dumps(o, indent=2, sort_keys=True)`
+    at indent pad, without `json`'s pure-Python indenting encoder: a list
+    of plain ints is one join."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if all(type(v) is int for v in o):
+            out.append("[\n" + inner + (",\n" + inner).join(map(int.__repr__, o))
+                       + "\n" + pad + "]")
+            return
+        sep = "[\n" + inner
+        for v in o:
+            out.append(sep)
+            sep = ",\n" + inner
+            _write_json(v, inner, out)
+        out.append("\n" + pad + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k, v in sorted(o.items()):
+            key = k if isinstance(k, str) else _scalar(k)
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = ",\n" + inner
+            _write_json(v, inner, out)
+        out.append("\n" + pad + "}")
+    else:
+        out.append(_scalar(o))
+
+
 def _render(payload: dict, args: argparse.Namespace) -> str:
     if args.fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        out = []
+        _write_json(payload, "", out)
+        out.append("\n")
+        return "".join(out)
     if args.fmt == "csv":
         return _render_csv(payload, args.command)
     return _render_text(payload, args.command)

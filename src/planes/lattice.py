@@ -29,10 +29,15 @@ Every cache is a grow-only, lock-guarded `NormTable` of one entry per
 norm, so sweeps over a range of discriminants pay for a few passes.  The
 Plucker rows of the solved blocks (`_solutions`) and the sphere points of
 `repnum`, read off the slabs of `ball`, are ordered by one int64 key
-(`lex_order`) and split by norm (`rows_by_norm`).  The plane counts are
-one bincount of the norms of each block (`_plane_counts`), which builds
-no row at all, so `plane_count` keeps none.  Each table refuses a norm
-past its limit (`ROW_LIMIT`, `NORM_LIMIT`) before it fills anything.
+(`lex_order`) and split by norm (`rows_by_norm`).  The plane counts
+(`_plane_counts`) solve one x of each orbit of the 48 signed permutations
+G of Z^3.  G acts diagonally on (x, y) and keeps x . y, |x|^2, |y|^2 and
+gcd(x, y), so the number of solutions y of each norm is constant on the
+orbit of x, and each representative counts for the sign-normalized x of
+its orbit: about 1/24 of the x the table of planes solves.  The counts
+are bincounts of the norms of the blocks, which build no row at all, so
+`plane_count` keeps none.  Each table refuses a norm past its limit
+(`ROW_LIMIT`, `NORM_LIMIT`) before it fills anything.
 
 Hermite bases come in closed form (`plane_bases`).  The rows of
 S = u v^T - v u^T are S[k] = u_k v - v_k u, and span the plane when its
@@ -586,23 +591,31 @@ def _solve_chunk(nmax: int, s: np.ndarray, x: np.ndarray):
                                              np.pad(p, ((0, 0), (3, 0)))])
 
 
-def _solutions(nmax: int):
+def _sign_normalized(nmax: int):
+    """(norms, points) of the x != 0 of norm at most nmax whose first
+    nonzero entry is positive, slab by slab from `ball`."""
+    for s, x in ball(nmax):
+        live = lead_signs(x) > 0
+        yield s[live], x[live]
+
+
+def _solutions(nmax: int, xs=None):
     """(norms, rows) of each block of the sign-normalized primitive
-    solutions of norm <= nmax, with rows a function that builds them; each
-    solution is in one block.
+    solutions of norm <= nmax with x from xs, an iterable of (norms,
+    points) of sign-normalized x != 0 (every such x by default), with rows
+    a function that builds them; each solution is in one block.
 
     With x = (a, b, c) and y = (f, -e, d) the relation reads x . y = 0.
-    The x are taken slab by slab from `ball`, in chunks of `_X_CHUNK`.
-    Every int64 term is at most 3 (nmax^2 + nmax): the closed-form basis of
-    x/g has norms at most nmax^2 + nmax, Gauss reduction lengthens no
-    vector, and the reduced terms are smaller.  Raises ArithmeticError
-    past `NMAX_INT64`, before anything is built."""
+    The x are taken in chunks of `_X_CHUNK`.  Every int64 term is at most
+    3 (nmax^2 + nmax): the closed-form basis of x/g has norms at most
+    nmax^2 + nmax, Gauss reduction lengthens no vector, and the reduced
+    terms are smaller.  Raises ArithmeticError past `NMAX_INT64`, before
+    anything is built."""
     if nmax > NMAX_INT64:
         raise ArithmeticError(f"norm {nmax} is past the int64 bound {NMAX_INT64}")
     S, X = np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
-    for s, x in ball(nmax):
-        live = lead_signs(x) > 0
-        S, X = np.concatenate([S, s[live]]), np.concatenate([X, x[live]])
+    for s, x in _sign_normalized(nmax) if xs is None else xs:
+        S, X = np.concatenate([S, s]), np.concatenate([X, x])
         while len(X) >= _X_CHUNK:
             yield from _solve_chunk(nmax, S[:_X_CHUNK], X[:_X_CHUNK])
             S, X = S[_X_CHUNK:], X[_X_CHUNK:]
@@ -616,19 +629,50 @@ def _plane_rows(nmax: int):
         yield np.concatenate([ns, ns]), rows()
 
 
+def _orbit_classes(nmax: int):
+    """(weight, norms, points) of the x = (x0, x1, x2) != 0 of norm at most
+    nmax with 0 <= x0 <= x1 <= x2, one of each orbit of the 48 signed
+    permutations G, grouped by the weight |Gx| / 2, the number of
+    sign-normalized points of the orbit.  That is 24 over the order of the
+    stabilizer, 2 for each zero entry times the permutations of equal
+    entries: 3 for (0, 0, k), 4 for (k, k, k), 6 for (0, k, k), 12 for
+    the other shapes with a zero or two equal entries and 24 for the rest.
+    The (x0, x1) of each x2 are a prefix of the pairs x0 <= x1 by x1."""
+    R = isqrt(nmax)
+    x1, x0 = np.tril_indices(R + 1)
+    q = x0 * x0 + x1 * x1
+    parts = [np.empty((0, 3), dtype=np.int64)]
+    for x2 in range(1, R + 1):
+        k = np.flatnonzero(q[:(x2 + 1) * (x2 + 2) // 2] <= nmax - x2 * x2)
+        parts.append(np.stack([x0[k], x1[k], np.full(len(k), x2)], axis=1))
+    x = np.concatenate(parts)
+    x0, x1, x2 = x.T
+    perms = np.where(x0 == x2, 6, np.where((x0 == x1) | (x1 == x2), 2, 1))
+    weight = 24 // (perms << (x == 0).sum(axis=1))
+    s = (x * x).sum(axis=1)
+    for w in (3, 4, 6, 12, 24):
+        yield w, s[weight == w], x[weight == w]
+
+
 def _plane_counts(nmax: int) -> np.ndarray:
-    """Planes of each norm 0..nmax: one bincount of the norms of each
-    `_solutions` block, twice for the mirrors, so no row is built."""
+    """Planes of each norm 0..nmax, from one x of each orbit of G (see the
+    module docstring): each weight class of `_orbit_classes` gets one
+    histogram of the norms of its `_solutions` blocks, times its weight,
+    and all twice for the mirrors, in exact int64 with no row built."""
     counts = np.zeros(nmax + 1, dtype=np.int64)
-    for ns, _ in _solutions(nmax):
-        counts += np.bincount(ns, minlength=nmax + 1)
+    for weight, s, x in _orbit_classes(nmax):
+        hist = np.zeros(nmax + 1, dtype=np.int64)
+        for ns, _ in _solutions(nmax, [(s, x)]):
+            hist += np.bincount(ns, minlength=nmax + 1)
+        counts += weight * hist
     return 2 * counts
 
 
 # the largest norms the caches are filled to: at either limit a fill in a
 # fresh process peaks at about 250 MB (2-core VM, numpy 2.4), the row table
 # at 512 (224 MB) and the sphere table at 8192 (245 MB); a count streams its
-# blocks, so its sweep to 8192 holds a few MB but takes about 10 s
+# blocks, so its sweep to 8192 holds a few MB and, one x per orbit, takes
+# about 0.45 s
 ROW_LIMIT = 2 ** 9
 NORM_LIMIT = 2 ** 13
 

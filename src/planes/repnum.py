@@ -136,11 +136,31 @@ def sphere_points(n: int) -> np.ndarray:
     return _sphere_table.get(n)
 
 
+def _r3_counts(nmax: int) -> np.ndarray:
+    """Points of Z^3 of each norm 0..nmax: a bincount of the norms of each
+    slab of `lattice.ball`, and 1 for the origin; no point is kept."""
+    counts = np.zeros(nmax + 1, dtype=np.int64)
+    for ns, _ in lattice.ball(nmax):
+        counts += np.bincount(ns, minlength=nmax + 1)
+    counts[0] = 1
+    return counts
+
+
+_r3_table = lattice.NormTable(_r3_counts, lattice.NORM_LIMIT)
+
+
+def warm_r3_cache(nmax: int) -> None:
+    """Ensure the three-square counts cover every norm up to nmax."""
+    _r3_table.warm(nmax)
+
+
 def r3(n: int) -> int:
-    """Number of ways to write n as an ordered sum of three squares."""
-    if n == 0:
-        return 1
-    return len(sphere_points(n))
+    """Number of ways to write n as an ordered sum of three squares, read
+    off the count table, which lists no point."""
+    if n < 0:
+        raise ValueError("norm must be nonnegative")
+    warm_r3_cache(n)
+    return int(_r3_table.get(n))
 
 
 # ---------------------------------------------------------------------------
@@ -235,5 +255,5 @@ def rs3_coeffs(dmax: int) -> dict[int, int]:
     dmax; every other coefficient is zero."""
     if dmax < 0:
         raise ValueError("bound must be nonnegative")
-    warm_sphere_cache(dmax)
+    warm_r3_cache(dmax)
     return {d: r24_formula(d) for d in range(3, dmax + 1, 4)}

@@ -32,7 +32,7 @@ def check_r24(dmax: int = 500) -> dict:
     """Closed formula against both enumerations, d up to dmax."""
     lattice.warm_count_cache(dmax)
     klein.warm_pair_cache(dmax)
-    repnum.warm_sphere_cache(dmax)
+    repnum.warm_r3_cache(dmax)
     failures = []
     for d in range(1, dmax + 1):
         formula = repnum.r24_formula(d)
@@ -110,7 +110,7 @@ def check_p_local(fmax: int = 99) -> dict:
 def check_class_number(dmax: int = 200) -> dict:
     """Three-squares counts against class numbers on both branches."""
     _refuse_below("dmax", dmax, 5)
-    repnum.warm_sphere_cache(dmax)
+    repnum.warm_r3_cache(dmax)
     failures = []
     for d0 in range(4, dmax + 1):
         if not repnum.is_squarefree(d0):
@@ -135,7 +135,7 @@ def check_l_value(dmax: int = 200) -> dict:
     """The character sum of L(1, chi_{-d0}) against pi r3(d0)/(24 sqrt d0)
     for each squarefree d0 = 3 mod 8 from 11 to dmax, within L_VALUE_ATOL."""
     _refuse_below("dmax", dmax, 11)
-    repnum.warm_sphere_cache(dmax)
+    repnum.warm_r3_cache(dmax)
     failures = []
     worst = 0.0
     for d0 in range(11, dmax + 1, 8):
@@ -151,6 +151,7 @@ def check_l_value(dmax: int = 200) -> dict:
 def check_gauss_genus(nmax: int = 200) -> dict:
     """All forms orthogonal to norm-n vectors land in a single genus, with
     the forms read off `klein.orthogonal_classes`."""
+    repnum.warm_sphere_cache(nmax)
     failures = []
     for n in range(1, nmax + 1):
         if n % 4 not in (1, 2) or not repnum.is_squarefree(n):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from planes import klein, lattice, mds, qform, repnum, suites
-from planes.cli import _build_parser, cmd_dispatch
+from planes.cli import _COMMANDS, _build_parser, _render, cmd_dispatch
 
 
 def run(capsys, *argv):
@@ -38,6 +38,40 @@ def test_count_holds_no_plane_rows():
     status, peak_kb = map(int, proc.stdout.split())
     assert status == 0
     assert peak_kb < 100 * 1024
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--disc", "45"], ["enumerate", "--disc", "5"], ["klein", "--disc", "3"],
+    ["classgroup", "--disc", "-84"], ["series", "--dmax", "15"],
+    ["verify", "local-identity", "--order", "6"], ["verify", "l-value", "--dmax", "60"]])
+def test_json_rendering_is_the_json_module_text(argv):
+    """The JSON writer gives the bytes of `json.dumps(indent=2,
+    sort_keys=True)` on the payload of each command."""
+    args = _build_parser().parse_args(argv)
+    payload, _ = _COMMANDS[args.command](args)
+    assert _render(payload, args) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.1, 1e300, 2 ** 70, -2 ** 70,
+    "caf\u00e9 \u2603 \U0001d11e", 'quote " backslash \\ tab \t newline \n nul \x00',
+    "", [], {}, [[]], [{}], (1, 2), (1, "x", None), [1, True, 2], [False, 0],
+    [1.0, 2], {"b": [3, [4, {}]], "a": None}, {3: "x", 1: "y"}, {2.5: 1, True: 0},
+    {"x": {"y": [{"z": (True, False, None)}]}}])
+def test_json_rendering_edge_values(value):
+    """Edge values inside a payload render as `json` renders them."""
+    payload = {"value": value, "list": [value], "n": 1}
+    args = _build_parser().parse_args(["count", "--disc", "1"])
+    assert _render(payload, args) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_rendering_refuses_what_json_refuses():
+    args = _build_parser().parse_args(["count", "--disc", "1"])
+    for payload in ({"x": object()}, {(1, 2): 3}, {1: 2, "a": 3}):
+        with pytest.raises(TypeError):
+            json.dumps(payload, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _render(payload, args)
 
 
 def test_count_agreeing(capsys):
@@ -239,6 +273,8 @@ def test_norm_past_a_cache_limit_is_refused_before_any_fill(capsys, monkeypatch)
     monkeypatch.setattr(lattice, "_plucker_table",
                         lattice.NormTable(refuse, lattice.ROW_LIMIT))
     monkeypatch.setattr(repnum, "_sphere_table",
+                        lattice.NormTable(refuse, lattice.NORM_LIMIT))
+    monkeypatch.setattr(repnum, "_r3_table",
                         lattice.NormTable(refuse, lattice.NORM_LIMIT))
     monkeypatch.setattr(klein, "_pair_table",
                         lattice.NormTable(refuse, lattice.NORM_LIMIT))

@@ -4,7 +4,9 @@ The slow 6-fold loop below is the ground-truth oracle for small norms;
 the production enumerator must reproduce it exactly.
 """
 
+import functools
 import hashlib
+import itertools
 from math import gcd, isqrt
 
 import numpy as np
@@ -243,22 +245,93 @@ def test_plucker_table_is_frozen_across_block_seams(monkeypatch):
 
 @pytest.mark.parametrize("block", [lattice._BLOCK, 97])
 def test_plane_counts_are_the_table_lengths(monkeypatch, block):
-    """The count sweep gives the row table's count at every norm up to 300,
-    also with blocks of 97 candidates, whose seams fall in the middle of
-    the run of one x."""
-    lengths = [len(lattice.plucker_arrays(n)) for n in range(1, 301)]
+    """The count sweep, one x per orbit, gives the row table's count, every
+    sign-normalized x, at every norm up to `ROW_LIMIT`, also with blocks of
+    97 candidates, whose seams fall in the middle of the run of one x."""
+    top = lattice.ROW_LIMIT
+    lengths = [len(lattice.plucker_arrays(n)) for n in range(1, top + 1)]
     monkeypatch.setattr(lattice, "_BLOCK", block)
     counts = lattice.NormTable(lattice._plane_counts, lattice.NORM_LIMIT)
-    counts.warm(300)
-    assert counts.nmax == 300
-    assert [counts.get(n) for n in range(1, 301)] == lengths
+    counts.warm(top)
+    assert counts.nmax == top
+    assert [counts.get(n) for n in range(1, top + 1)] == lengths
     assert counts.get(0) == 0
     with pytest.raises(IndexError):
-        counts.get(301)
+        counts.get(top + 1)
     assert sum(lengths[:256]) == FROZEN_TABLES["plucker"][1]
-    assert [lattice.plane_count(n) for n in range(1, 301)] == lengths
+    assert [lattice.plane_count(n) for n in range(1, top + 1)] == lengths
     with pytest.raises(ValueError):
         lattice.plane_count(0)
+
+
+@functools.cache
+def _stream_counts(nmax: int) -> np.ndarray:
+    """Planes of each norm 0..nmax, a bincount of the norms of every block
+    of `_plane_rows`, the full sign-normalized stream."""
+    counts = np.zeros(nmax + 1, dtype=np.int64)
+    for ns, _ in lattice._plane_rows(nmax):
+        counts += np.bincount(ns, minlength=nmax + 1)
+    return counts
+
+
+def _orbit_counts_miss(ceilings) -> list[int]:
+    """The ceilings up to 1024 whose fill from one x per orbit differs from
+    the full stream."""
+    return [n for n in ceilings
+            if not np.array_equal(lattice._plane_counts(n), _stream_counts(1024)[:n + 1])]
+
+
+def test_orbit_counts_are_the_full_stream_counts():
+    """At every norm up to 1024, the fill to 1024 from one x per orbit is
+    the bincount of the full stream; so is the fill to each ceiling up to
+    160, and to every 37th past it, each with its boundary norm."""
+    assert _orbit_counts_miss([*range(1, 161), *range(161, 1024, 37), 1024]) == []
+
+
+def test_orbit_weights_are_half_the_orbit_sizes():
+    """Each representative to 1024 has 0 <= x0 <= x1 <= x2 and the weight
+    |Gx| / 2, with its orbit listed by brute force; weighted, they number
+    the sign-normalized points of `ball` of each norm."""
+    G = [(e, p) for e in itertools.product((1, -1), repeat=3)
+         for p in itertools.permutations(range(3))]
+    weighted = np.zeros(1025, dtype=np.int64)
+    for weight, s, x in lattice._orbit_classes(1024):
+        weighted += weight * np.bincount(s, minlength=1025)
+        for row in x.tolist():
+            assert 0 <= row[0] <= row[1] <= row[2]
+            orbit = {tuple(e[i] * row[p[i]] for i in range(3)) for e, p in G}
+            assert len(orbit) == 2 * weight, row
+    signed = np.zeros(1025, dtype=np.int64)
+    for s, x in lattice.ball(1024):
+        signed += np.bincount(s[lattice.lead_signs(x) > 0], minlength=1025)
+    assert np.array_equal(weighted, signed)
+
+
+_SHAPES = {
+    "(k, k, k)": lambda x: x[:, 0] == x[:, 2],
+    "(0, j, k)": lambda x: (x[:, 0] == 0) & (0 < x[:, 1]) & (x[:, 1] < x[:, 2]),
+    "(0, 0, k)": lambda x: x[:, 1] == 0,
+    "(j, j, k)": lambda x: (0 < x[:, 0]) & (x[:, 0] == x[:, 1]) & (x[:, 1] < x[:, 2]),
+    "(i, j, k)": lambda x: (0 < x[:, 0]) & (x[:, 0] < x[:, 1]) & (x[:, 1] < x[:, 2]),
+}
+
+
+@pytest.mark.parametrize("shape, wrong", [("(k, k, k)", 8), ("(0, j, k)", 24),
+                                          ("(0, 0, k)", 6), ("(j, j, k)", 24),
+                                          ("(i, j, k)", 12)])
+def test_a_wrong_orbit_weight_is_caught(monkeypatch, shape, wrong):
+    """One orbit shape weighted wrong: the fill no longer matches the full
+    stream, already at the ceilings below 64."""
+    real = lattice._orbit_classes
+
+    def mutant(nmax):
+        for weight, s, x in real(nmax):
+            hit = _SHAPES[shape](x)
+            yield weight, s[~hit], x[~hit]
+            yield wrong, s[hit], x[hit]
+
+    monkeypatch.setattr(lattice, "_orbit_classes", mutant)
+    assert _orbit_counts_miss(range(1, 64))
 
 
 @pytest.mark.parametrize("n", [7, 12, 15, 16])

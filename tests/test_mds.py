@@ -403,7 +403,7 @@ def test_l_value_remainder_bound_guard():
 def test_l_value_check_memory_is_bounded(d0):
     """The head sum holds one block buffer of _L_CHUNK float64 terms
     (512 KB), so one call peaks below 1 MB."""
-    repnum.r3(d0)  # the sphere table is built outside the measurement
+    repnum.r3(d0)  # the r3 table is built outside the measurement
     tracemalloc.start()
     try:
         l_value_check(d0)

@@ -49,6 +49,16 @@ def test_r3_examples():
     assert [r3(n) for n in (1, 2, 3, 4, 5, 6, 7)] == [6, 12, 8, 6, 24, 24, 0]
 
 
+def test_r3_counts_are_the_sphere_table_lengths():
+    """The count table, which keeps no point, gives the number of sphere
+    points of every norm up to 2048, and 1 for the origin."""
+    assert r3(0) == 1
+    assert [r3(n) for n in range(1, 2049)] == [len(sphere_points(n))
+                                               for n in range(1, 2049)]
+    with pytest.raises(ValueError):
+        r3(-1)
+
+
 @pytest.mark.parametrize("n", [7, 28])
 def test_norms_without_three_squares_have_no_points(n):
     points = sphere_points(n)

@@ -388,7 +388,8 @@ def test_oracle_disagreement_fails_r24_and_count(monkeypatch, capsys):
 
 
 def test_r24_builds_the_count_array_once(monkeypatch):
-    """The Plucker and the Klein count tables are each filled once, to dmax."""
+    """The Plucker, the Klein and the three-square count tables are each
+    filled once, to dmax."""
     built = []
 
     def counted(fill):
@@ -401,8 +402,27 @@ def test_r24_builds_the_count_array_once(monkeypatch):
                         lattice.NormTable(counted(lattice._plane_counts), lattice.NORM_LIMIT))
     monkeypatch.setattr(klein, "_pair_table",
                         lattice.NormTable(counted(klein._pair_counts), lattice.NORM_LIMIT))
+    monkeypatch.setattr(repnum, "_r3_table",
+                        lattice.NormTable(counted(repnum._r3_counts), lattice.NORM_LIMIT))
     assert suites.run_suite("r24", dmax=100)["status"] == "pass"
-    assert sorted(built) == [("_pair_counts", 100), ("_plane_counts", 100)]
+    assert sorted(built) == [("_pair_counts", 100), ("_plane_counts", 100),
+                             ("_r3_counts", 100)]
+
+
+@pytest.mark.parametrize("name", ["gauss-genus", "klein"])
+def test_sphere_readers_fill_the_sphere_table_once(monkeypatch, name):
+    """A suite that reads sphere points fills their table once, to its bound,
+    not at each doubling of a rising norm."""
+    built = []
+
+    def blocks(nmax):
+        built.append(nmax)
+        return lattice.ball(nmax)
+
+    monkeypatch.setattr(repnum, "_sphere_table",
+                        lattice.NormTable(lattice.rows_by_norm(blocks), lattice.NORM_LIMIT))
+    assert suites.run_suite(name, nmax=150)["status"] == "pass"
+    assert built == [150]
 
 
 def test_r24_reports_one_moved_plucker_count(monkeypatch):
