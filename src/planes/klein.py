@@ -285,32 +285,25 @@ def mu_image(plane: Plane, which: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def genus_context(n: int):
-    """Class group of discriminant -4n, its genus partition, and the genus
-    carrying every form orthogonal to a norm-n vector.  That single genus
-    exists for squarefree n = 1, 2 mod 4; anything else is rejected."""
+    """Class group of discriminant -4n, its genus partition, and the
+    `orthogonal_classes` of the norm-n vectors, for squarefree n = 1, 2
+    mod 4.  By Gauss the forms are classes of the group filling one genus;
+    that is judged in `suites`, not here."""
     if n % 4 not in (1, 2) or not repnum.is_squarefree(n):
         raise ValueError("theorem hypotheses not met: need squarefree n = 1, 2 mod 4")
     group = class_group(-4 * n)
-    partition = genus_partition(group)
-    forms = orthogonal_classes(repnum.sphere_points(n))
-    if not forms:
-        raise ValueError(f"{n} is not a sum of three squares")
-    if not group.index.keys() >= set(forms):
-        raise ValueError(f"a form is not a primitive class of disc {-4 * n}")
-    genera = {partition.genus_of(group.index[f]) for f in forms}
-    if len(genera) != 1:
-        raise ArithmeticError(f"image genus is not constant at n={n}")
-    target, = genera
-    return group, partition, target
+    return group, genus_partition(group), orthogonal_classes(repnum.sphere_points(n))
 
 
 def class_pairs(n: int):
     """The observed (plane form, complement form) pairs of reduced triples
     of the planes of norm n, on `lattice.plane_bases`; the pairs whose
-    composition lies in the genus of `genus_context`; and the Plucker rows
-    whose complement is not among the planes."""
+    composition lies in the genus of the first form of `genus_context`,
+    the genus of every form where Gauss's theorem holds; and the Plucker
+    rows whose complement is not among the planes."""
     _require_theorem_norm(n)
-    group, partition, target = genus_context(n)
+    group, partition, image = genus_context(n)
+    target = partition.genus_of(group.index[image[0]])
     rows = lattice.plucker_arrays(n)
     forms, which = gram_classes(lattice.plane_bases(rows))
     comp = lattice.complement_index(rows)

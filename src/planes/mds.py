@@ -389,7 +389,7 @@ def f_sum_check(d0: int, fmax: int = 99) -> list[dict]:
         lhs = repnum.f_sum(d0, f)
         rhs = Fraction(1)
         for p, k in repnum.factorize(f):
-            eps = repnum.legendre_symbol(-d0, p)
+            eps = repnum.kronecker_symbol(-d0, p)
             if eps not in series_cache:
                 series_cache[eps] = p_local(eps).series({"y": 2 * _max_pow(fmax)})
             if (eps, p, k) not in series_cache:

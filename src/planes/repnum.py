@@ -53,19 +53,10 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return n0, m
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    """Legendre symbol for an odd prime p, by Euler's criterion."""
-    if p == 2 or p < 2:
-        raise ValueError("p must be an odd prime")
-    r = pow(a % p, (p - 1) // 2, p)
-    if r == p - 1:
-        return -1
-    return r
-
-
 def legendre_symbols(a: int, primes) -> np.ndarray:
-    """`legendre_symbol(a, q)` for each odd prime q of primes, as one int64
-    array, by square-and-multiply; q < 2^31 keeps every product below 2^62."""
+    """The Legendre symbol (a|q), by Euler's criterion, for each odd prime q
+    of primes, as one int64 array, by square-and-multiply; q < 2^31 keeps
+    every product below 2^62."""
     q = np.asarray(primes, dtype=np.int64)
     if len(q) and (q.min() < 3 or q.max() >= 2 ** 31):
         raise ValueError("need odd primes q with 3 <= q < 2^31")
@@ -214,7 +205,7 @@ def f_sum(d0: int, f: int) -> Fraction:
     if f < 1 or f % 2 == 0:
         raise ValueError("square part must be a positive odd integer")
     primes = [p for p, _ in factorize(f)]
-    eps = {p: legendre_symbol(-d0, p) for p in primes}
+    eps = {p: kronecker_symbol(-d0, p) for p in primes}
     total = Fraction(0)
     for c, omega in _divisors_of(f):
         term = Fraction(2 ** omega, c)

@@ -148,23 +148,26 @@ def check_l_value(dmax: int = 200) -> dict:
     return _report("l-value", failures, {"dmax": dmax, "worst_abs_diff": worst})
 
 
+def _gauss_genus_failures(n: int) -> list[dict]:
+    """Gauss's theorem at n, on `klein.genus_context`: each form orthogonal
+    to a norm-n vector is a class of disc -4n, and they fill one genus."""
+    group, partition, forms = klein.genus_context(n)
+    failures = [{"n": n, "form": f, "why": f"not a class of disc {-4 * n}"}
+                for f in forms if f not in group.index]
+    genera = {partition.genus_of(group.index[f]) for f in forms if f in group.index}
+    if len(genera) != 1:
+        failures.append({"n": n, "distinct_genera": len(genera)})
+    return failures
+
+
 def check_gauss_genus(nmax: int = 200) -> dict:
     """All forms orthogonal to norm-n vectors land in a single genus, with
-    the forms read off `klein.orthogonal_classes`."""
+    the forms and the class group read off `klein.genus_context`."""
     repnum.warm_sphere_cache(nmax)
     failures = []
     for n in range(1, nmax + 1):
-        if n % 4 not in (1, 2) or not repnum.is_squarefree(n):
-            continue
-        group = qform.class_group(-4 * n)
-        partition = qform.genus_partition(group)
-        forms = klein.orthogonal_classes(repnum.sphere_points(n))
-        failures += [{"n": n, "form": f, "why": f"not a class of disc {-4 * n}"}
-                     for f in forms if f not in group.index]
-        genera = {partition.genus_of(group.index[f])
-                  for f in forms if f in group.index}
-        if len(genera) != 1:
-            failures.append({"n": n, "distinct_genera": len(genera)})
+        if n % 4 in (1, 2) and repnum.is_squarefree(n):
+            failures += _gauss_genus_failures(n)
     return _report("gauss-genus", failures, {"nmax": nmax})
 
 
@@ -241,13 +244,19 @@ def check_comp_ort(nmax: int = 150) -> dict:
 
 def check_pair_genus(nmax: int = 150) -> dict:
     """Observed (plane form, complement form) pairs equal the genus rule,
-    both from `klein.class_pairs`; nmax may not pass NMAX_INT64."""
+    both from `klein.class_pairs`, at each n where Gauss's theorem holds;
+    where it fails, the gauss-genus records stand instead.  nmax may not
+    pass NMAX_INT64."""
     _refuse_below("nmax", nmax, 5)
     _refuse_past_int64(nmax)
     lattice.warm_cache(nmax)
     failures = []
     for n in range(5, nmax + 1, 4):
         if not repnum.is_squarefree(n):
+            continue
+        judged = _gauss_genus_failures(n)
+        if judged:
+            failures += judged
             continue
         observed, predicted, lost = klein.class_pairs(n)
         failures += [{"n": n, "plucker": tuple(p),

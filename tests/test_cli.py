@@ -250,6 +250,18 @@ def test_verify_single_suite(capsys):
     assert payload["detail"]["dmax"] == 60
 
 
+def test_pair_genus_exits_1_with_the_gauss_genus_records(capsys, image_fault):
+    reports = {}
+    for name in ("gauss-genus", "pair-genus"):
+        code, out, _ = run(capsys, "verify", name, "--nmax", "30")
+        assert code == 1
+        reports[name] = json.loads(out)
+    records = reports["pair-genus"]["detail"]["failures"]
+    assert records == [json.loads(json.dumps(image_fault(n))) for n in (5, 13, 17, 21, 29)]
+    assert records == [r for r in reports["gauss-genus"]["detail"]["failures"]
+                       if r["n"] % 4 == 1]
+
+
 def test_series_refuses_a_large_prime_cutoff_before_the_sieve(capsys, monkeypatch):
     def refuse(limit):
         raise AssertionError(f"sieve to {limit} allocated")

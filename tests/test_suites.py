@@ -271,13 +271,17 @@ def test_gauss_genus_reports_a_sublattice(monkeypatch):
 
 
 def test_pair_genus_reports_a_shifted_genus(monkeypatch):
-    """With the genus rule moved to the next genus, every n with more than
-    one genus fails, and each record names the pairs on either side."""
+    """With the image forms replaced by one form of the next genus, Gauss's
+    theorem still holds on them and the genus rule moves to that genus:
+    every n with more than one genus fails, and each record names the
+    pairs on either side."""
     real = klein.genus_context
 
     def shifted(n):
-        group, partition, target = real(n)
-        return group, partition, (target + 1) % partition.count
+        group, partition, forms = real(n)
+        target = partition.genus_of(group.index[forms[0]])
+        moved = partition.genera[(target + 1) % partition.count][0]
+        return group, partition, [group.forms[moved]]
 
     monkeypatch.setattr(klein, "genus_context", shifted)
     report = suites.check_pair_genus(nmax=30)
@@ -295,10 +299,24 @@ def test_pair_genus_reports_a_shifted_genus(monkeypatch):
         assert r["observed_only"] and r["predicted_only"]
 
 
+def test_pair_genus_reports_what_gauss_genus_reports(monkeypatch, image_fault):
+    """Where the forms on v^perp break Gauss's theorem, pair-genus fails
+    with the gauss-genus records of each n and compares no class pairs."""
+    def refuse(n):
+        raise RuntimeError(f"class pairs compared at n={n}")
+
+    monkeypatch.setattr(klein, "class_pairs", refuse)
+    gauss = suites.check_gauss_genus(nmax=30)
+    report = suites.check_pair_genus(nmax=30)
+    assert gauss["status"] == report["status"] == "fail"
+    records = report["detail"]["failures"]
+    assert records == [image_fault(n) for n in (5, 13, 17, 21, 29)]
+    assert records == [r for r in gauss["detail"]["failures"] if r["n"] % 4 == 1]
+
+
 def test_gauss_and_pair_genus_build_no_form_objects(monkeypatch):
     """The genus suites stay on reduced triples from the Gram matrix to the
     verdict: no `QuadForm` or `FormClass` is built."""
-    klein.genus_context.cache_clear()
     built = []
     for cls in (qform.QuadForm, qform.FormClass):
         real = cls.__init__
@@ -450,6 +468,64 @@ def test_local_identity_rejects_swapped_euler_factor_kinds(monkeypatch):
     assert report["status"] == "fail"
     assert report["detail"]["failures"] == [1, -1]
     assert report["detail"]["failure_count"] == 2
+
+
+def _r3_off_by_one(monkeypatch):
+    real = repnum.r3
+    monkeypatch.setattr(repnum, "r3", lambda n: real(n) + 1)
+
+
+def test_class_number_rejects_a_wrong_r3(monkeypatch):
+    _r3_off_by_one(monkeypatch)
+    report = suites.check_class_number(dmax=30)
+    assert report["status"] == "fail"
+    # d0 = 5 is the first squarefree d0 >= 4, with h(-20) = 2
+    assert report["detail"]["failures"][0] == {"d0": 5, "r3": 25,
+                                               "class_number_prediction": 24}
+
+
+def test_l_value_rejects_a_wrong_r3(monkeypatch):
+    """r3 one too large moves the closed form by pi / (24 sqrt d0), far past
+    the tolerance, at every d0."""
+    _r3_off_by_one(monkeypatch)
+    report = suites.check_l_value(dmax=60)
+    assert report["status"] == "fail"
+    first = report["detail"]["failures"][0]
+    assert first["d0"] == 11
+    assert first["closed_form"] == pytest.approx(25 * np.pi / (24 * np.sqrt(11)))
+    assert first["abs_diff"] == pytest.approx(np.pi / (24 * np.sqrt(11)), rel=1e-9)
+    assert [f["d0"] for f in report["detail"]["failures"]] == [11, 19, 35, 43, 51, 59]
+
+
+def test_p_local_rejects_a_moved_divisor_sum(monkeypatch):
+    real = repnum.f_sum
+    monkeypatch.setattr(repnum, "f_sum", lambda d0, f: real(d0, f) + (f == 9))
+    report = suites.check_p_local(fmax=15)
+    assert report["status"] == "fail"
+    assert [f["d0"] for f in report["detail"]["failures"]] == [3, 11, 19]
+    assert report["detail"]["failures"][0] == {
+        "d0": 3, "fmax": 15,
+        "mismatches": [{"f": 9, "divisor_sum": "154", "euler": "153"}]}
+
+
+def test_genus_structure_rejects_two_merged_genera(monkeypatch):
+    real = qform.genus_partition
+
+    def merged(group):
+        partition = real(group)
+        if partition.count < 2:
+            return partition
+        first, second, *rest = partition.genera
+        genera = (tuple(sorted(first + second)), *rest)
+        return qform.GenusPartition(
+            group=group, genera=genera,
+            genus_index={i: k for k, genus in enumerate(genera) for i in genus})
+
+    monkeypatch.setattr(qform, "genus_partition", merged)
+    report = suites.check_genus_structure(nmax=30)
+    assert report["status"] == "fail"
+    # n = 5 is the first with two genera, of h(-20) = 2 classes
+    assert report["detail"]["failures"][0] == {"n": 5, "genera": 1, "index": 2}
 
 
 # every bound of every suite, small enough for tier-1
