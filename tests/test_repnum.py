@@ -89,14 +89,22 @@ def test_factorize():
 
 
 @given(st.integers(min_value=-60, max_value=60), st.sampled_from(ODD_PRIMES))
-def test_kronecker_euler_criterion(a, p):
-    """At an odd prime the Kronecker symbol is the Legendre symbol."""
+def test_legendre_euler_criterion(a, p):
+    """At an odd prime the Kronecker symbol is the Legendre symbol: 0 on
+    multiples of p, else 1 exactly on the quadratic residues."""
     s = kronecker_symbol(a, p)
     assert s in (-1, 0, 1)
     if a % p == 0:
         assert s == 0
     else:
         assert any(x * x % p == a % p for x in range(p)) == (s == 1)
+
+
+@given(st.integers(min_value=-60, max_value=60), st.sampled_from(ODD_PRIMES))
+def test_kronecker_extends_legendre(a, p):
+    """At an odd prime the Kronecker symbol is Euler's a^((p-1)/2) mod p."""
+    e = pow(a, (p - 1) // 2, p)
+    assert kronecker_symbol(a, p) == (-1 if e == p - 1 else e)
 
 
 def test_legendre_symbols_are_the_scalar_symbols():
