@@ -222,11 +222,35 @@ def gram_classes(bases) -> tuple[list[tuple[int, int, int]], np.ndarray]:
             np.fromiter(map(slot.__getitem__, grams), np.intp, len(grams)))
 
 
-def orthogonal_classes(points) -> list[tuple[int, int, int]]:
-    """Sorted distinct reduced triples of the forms on v^perp, v over the
-    primitive points, on the bases of `orthogonal_bases`.  Each stands for
-    its `gauss_map` GL2 class."""
-    return sorted(set(gram_classes(orthogonal_bases(points))[0]))
+_MIRROR = [1, 0, 2]  # (x0, x1, x2) -> (x1, x0, x2), a signed permutation of det -1
+
+
+def _theorem_classes(nmax: int) -> list[list[tuple[int, int, int]]]:
+    """At each squarefree n = 1, 2 mod 4 of 0..nmax, the sorted distinct
+    reduced triples of the forms on v^perp, v of norm n, on the bases of
+    `orthogonal_bases`; [] at the other n.  One `gram_classes` pass reads
+    a representative of each orbit of the signed permutations G of Z^3
+    (`lattice.orbit_representatives`) and its mirror.  That is every
+    class: g in G maps v^perp onto (gv)^perp, with gb1 x gb2 =
+    det(g) g(b1 x b2), so det g = +1 keeps the proper class of the bases
+    with b1 x b2 = v, det g = -1 gives its opposite (on the axis the form
+    x^2 + y^2 is its own), and the mirror has det -1."""
+    theorem = np.array([n % 4 in (1, 2) and repnum.is_squarefree(n) for n in range(nmax + 1)])
+    reps = np.concatenate([x[theorem[s]] for _, s, x in lattice.orbit_representatives(nmax)])
+    points = np.concatenate([reps, reps[:, _MIRROR]])
+    forms, which = gram_classes(orthogonal_bases(points))
+    classes = [set() for _ in range(nmax + 1)]
+    for n, k in set(zip((points * points).sum(axis=1).tolist(), which.tolist())):
+        classes[n].add(forms[k])
+    return [sorted(c) for c in classes]
+
+
+_class_table = lattice.NormTable(_theorem_classes, lattice.NORM_LIMIT)
+
+
+def warm_class_cache(nmax: int) -> None:
+    """Ensure the classes on v^perp cover every norm up to nmax."""
+    _class_table.warm(nmax)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +310,14 @@ def mu_image(plane: Plane, which: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def genus_context(n: int):
     """Class group of discriminant -4n, its genus partition, and the
-    `orthogonal_classes` of the norm-n vectors, for squarefree n = 1, 2
+    `_theorem_classes` of the norm-n vectors, for squarefree n = 1, 2
     mod 4.  By Gauss the forms are classes of the group filling one genus;
     that is judged in `suites`, not here."""
     if n % 4 not in (1, 2) or not repnum.is_squarefree(n):
         raise ValueError("theorem hypotheses not met: need squarefree n = 1, 2 mod 4")
     group = class_group(-4 * n)
-    return group, genus_partition(group), orthogonal_classes(repnum.sphere_points(n))
+    warm_class_cache(n)
+    return group, genus_partition(group), _class_table.get(n)
 
 
 def class_pairs(n: int):

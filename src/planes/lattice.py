@@ -629,7 +629,7 @@ def _plane_rows(nmax: int):
         yield np.concatenate([ns, ns]), rows()
 
 
-def _orbit_classes(nmax: int):
+def orbit_representatives(nmax: int):
     """(weight, norms, points) of the x = (x0, x1, x2) != 0 of norm at most
     nmax with 0 <= x0 <= x1 <= x2, one of each orbit of the 48 signed
     permutations G, grouped by the weight |Gx| / 2, the number of
@@ -656,11 +656,11 @@ def _orbit_classes(nmax: int):
 
 def _plane_counts(nmax: int) -> np.ndarray:
     """Planes of each norm 0..nmax, from one x of each orbit of G (see the
-    module docstring): each weight class of `_orbit_classes` gets one
+    module docstring): each weight class of `orbit_representatives` gets one
     histogram of the norms of its `_solutions` blocks, times its weight,
     and all twice for the mirrors, in exact int64 with no row built."""
     counts = np.zeros(nmax + 1, dtype=np.int64)
-    for weight, s, x in _orbit_classes(nmax):
+    for weight, s, x in orbit_representatives(nmax):
         hist = np.zeros(nmax + 1, dtype=np.int64)
         for ns, _ in _solutions(nmax, [(s, x)]):
             hist += np.bincount(ns, minlength=nmax + 1)

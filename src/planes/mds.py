@@ -442,6 +442,20 @@ def _column_sums(d0: int, rows: int) -> np.ndarray:
     return columns
 
 
+def _character(d0: int) -> np.ndarray:
+    """chi(a) = (-d0 | a) for a = 0..d0 - 1: the Jacobi symbol (a | d0), as
+    -d0 = 1 mod 4 is a fundamental discriminant, so the product over the
+    primes p of d0 of Euler's criterion a^((p-1)/2) mod p, for all a at once."""
+    a, chi = np.arange(d0), np.ones(d0)
+    for p, _ in repnum.factorize(d0):
+        base, e, r = a % p, (p - 1) // 2, 1
+        while e:
+            r = r * base % p if e & 1 else r
+            base, e = base * base % p, e >> 1
+        chi *= np.where(r == p - 1, -1, r)
+    return chi
+
+
 def l_value_check(d0: int) -> dict:
     """Character-sum evaluation of L(1, chi_{-d0}) against the closed form
     pi * r3(d0) / (24 sqrt(d0)).  The sum is sum_{n <= L_TERMS} chi(n)/n
@@ -466,8 +480,7 @@ def l_value_check(d0: int) -> dict:
     sum."""
     if d0 <= 3 or d0 % 8 != 3 or not repnum.is_squarefree(d0):
         raise ValueError("need squarefree d0 = 3 mod 8, d0 > 3")
-    chi = np.array([repnum.kronecker_symbol(-d0, a) for a in range(d0)],
-                   dtype=np.float64)
+    chi = _character(d0)
     rows = L_TERMS // d0
     columns = _column_sums(d0, rows)
     n = np.arange(rows * d0 + 1, L_TERMS + 1)

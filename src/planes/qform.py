@@ -210,7 +210,7 @@ class ClassGroup:
 
 # the largest |disc| of a class group: of the 2,000 discriminants nearest it,
 # disc -520439 (h = 1266) has the largest table for `planes classgroup`, h^2
-# compositions, which took 9.7 s at a 182 MB peak (fresh process, 2-core VM)
+# compositions, which took 6.2-7.2 s at an 89 MB peak (fresh process, 2-core VM)
 DISC_LIMIT = 2 ** 19
 
 

@@ -163,17 +163,12 @@ def _gauss_genus_failures(n: int) -> list[dict]:
 def check_gauss_genus(nmax: int = 200) -> dict:
     """All forms orthogonal to norm-n vectors land in a single genus, with
     the forms and the class group read off `klein.genus_context`."""
-    repnum.warm_sphere_cache(nmax)
+    klein.warm_class_cache(nmax)
     failures = []
     for n in range(1, nmax + 1):
         if n % 4 in (1, 2) and repnum.is_squarefree(n):
             failures += _gauss_genus_failures(n)
     return _report("gauss-genus", failures, {"nmax": nmax})
-
-
-def _refuse_past_int64(nmax: int) -> None:
-    if nmax > lattice.NMAX_INT64:
-        raise ValueError(f"nmax {nmax} is past the int64 bound {lattice.NMAX_INT64}")
 
 
 def _norm_identity_ok(gens, gram_l, gram_w) -> np.ndarray:
@@ -202,9 +197,9 @@ def _spans_orthogonal(gens, a) -> np.ndarray:
 def check_comp_ort(nmax: int = 150) -> dict:
     """Image lattices of the two multiplication maps, and the norm identity,
     in int64 on `lattice.plane_bases`: the products are below 4n, their
-    cross products and the identity's terms below 32 n^2 (NMAX_INT64)."""
+    cross products and the identity's terms below 32 n^2, far inside int64
+    at the table's `lattice.ROW_LIMIT`."""
     _refuse_below("nmax", nmax, 5)
-    _refuse_past_int64(nmax)
     lattice.warm_cache(nmax)
     failures = []
     for n in range(5, nmax + 1, 4):
@@ -245,11 +240,10 @@ def check_comp_ort(nmax: int = 150) -> dict:
 def check_pair_genus(nmax: int = 150) -> dict:
     """Observed (plane form, complement form) pairs equal the genus rule,
     both from `klein.class_pairs`, at each n where Gauss's theorem holds;
-    where it fails, the gauss-genus records stand instead.  nmax may not
-    pass NMAX_INT64."""
+    where it fails, the gauss-genus records stand instead."""
     _refuse_below("nmax", nmax, 5)
-    _refuse_past_int64(nmax)
     lattice.warm_cache(nmax)
+    klein.warm_class_cache(nmax)
     failures = []
     for n in range(5, nmax + 1, 4):
         if not repnum.is_squarefree(n):

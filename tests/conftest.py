@@ -2,15 +2,18 @@
 
 import pytest
 
-from planes import klein, qform
+from planes import klein, lattice, qform
 
 
 @pytest.fixture(autouse=True)
-def fresh_genus_contexts():
-    """`klein.genus_context` keeps what it read off `orthogonal_classes`, so
-    a test that patches that function would leave its contexts to the tests
-    after it, or find the ones an earlier test left: each test starts and
-    ends with an empty cache."""
+def fresh_genus_contexts(monkeypatch):
+    """`klein.genus_context` keeps what it read off the class table, and
+    the table what its fill computed, so a test that patches the fill or
+    what it calls would leave its classes to the tests after it, or find
+    the ones an earlier test left: each test starts with an empty class
+    table, and starts and ends with an empty context cache."""
+    monkeypatch.setattr(klein, "_class_table",
+                        lattice.NormTable(klein._theorem_classes, lattice.NORM_LIMIT))
     contexts = klein.genus_context
     contexts.cache_clear()
     yield
@@ -37,15 +40,15 @@ _FAULTS = {
 
 @pytest.fixture(params=list(_FAULTS))
 def image_fault(request, monkeypatch):
-    """Gauss's theorem broken on v^perp: `klein.orthogonal_classes` gains,
-    at each norm, a class of a second genus or (1, 0, 1) of disc -4.
+    """Gauss's theorem broken on v^perp: the class table gains, at each
+    norm of the theorem, a class of a second genus or (1, 0, 1) of disc -4.
     Gives the record of a norm n."""
     add, record = _FAULTS[request.param]
-    real = klein.orthogonal_classes
 
-    def patched(points):
-        forms = real(points)
-        return sorted(set(forms) | set(add(int((points[0] ** 2).sum()), forms)))
+    def patched(nmax):
+        return [sorted(set(forms) | set(add(n, forms))) if forms else forms
+                for n, forms in enumerate(klein._theorem_classes(nmax))]
 
-    monkeypatch.setattr(klein, "orthogonal_classes", patched)
+    monkeypatch.setattr(klein, "_class_table",
+                        lattice.NormTable(patched, lattice.NORM_LIMIT))
     return record

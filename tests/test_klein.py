@@ -22,7 +22,6 @@ from planes.klein import (
     klein_map,
     klein_pairs,
     mu_image,
-    orthogonal_classes,
     orthogonal_lattice_z3,
     pair_count,
     pairs_for_norm,
@@ -215,6 +214,42 @@ def test_orthogonal_bases_span_the_kernel_lattice():
         orthogonal_bases([(0, 0, 0)])
 
 
+def orthogonal_classes(points):
+    """Sorted distinct reduced triples of the forms on v^perp, v over the
+    primitive points, on the bases of `orthogonal_bases`: the per-point
+    definition that the class table of `klein.genus_context` fills from
+    one point per orbit and its mirror."""
+    return sorted(set(gram_classes(orthogonal_bases(points))[0]))
+
+
+def _theorem_norms(nmax):
+    return [n for n in range(1, nmax + 1) if n % 4 in (1, 2) and repnum.is_squarefree(n)]
+
+
+def test_class_table_is_the_classes_of_every_sphere_point():
+    """Filled to each of a few ceilings, the class table holds the
+    classes of every sphere point of each norm of the theorem up to 2048,
+    and nothing at the other norms."""
+    expected = [[] for _ in range(2049)]
+    for n in _theorem_norms(2048):
+        expected[n] = orthogonal_classes(repnum.sphere_points(n))
+    for ceiling in (64, 301, 1000, 2048):
+        assert klein._theorem_classes(ceiling) == expected[:ceiling + 1]
+
+
+def test_class_table_without_the_mirrors_is_caught(monkeypatch):
+    """Each representative alone, with no mirror: the table loses a class
+    at 63 of the 120 norms of the theorem up to 300, the first at 14.  The
+    lost classes are the opposites of classes kept, in the same genus, so
+    gauss-genus and pair-genus pass on this table: this test is its gate."""
+    monkeypatch.setattr(klein, "_MIRROR", [0, 1, 2])
+    table = klein._theorem_classes(300)
+    full = {n: orthogonal_classes(repnum.sphere_points(n)) for n in _theorem_norms(300)}
+    missed = [n for n in full if table[n] != full[n]]
+    assert len(full) == 120 and len(missed) == 63 and missed[0] == 14
+    assert all(set(table[n]) < set(full[n]) for n in missed)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 6, 10, 21, 41, 42, 105])
 def test_orthogonal_classes_are_the_gauss_map(n):
     pts = repnum.sphere_points(n)
@@ -223,11 +258,12 @@ def test_orthogonal_classes_are_the_gauss_map(n):
 
 
 def test_orthogonal_classes_import_nothing():
-    """No module import on the first call: gauss-genus, the plane suites and
-    the count and series queries run in timed rounds, where a first-use
-    import (np.unique pulls in numpy.ma) adds file reads to the round."""
+    """No module import on the first call: the classes on v^perp of
+    gauss-genus, the plane suites and the count and series queries run in
+    timed rounds, where a first-use import (np.unique pulls in numpy.ma)
+    adds file reads to the round."""
     env = dict(os.environ, PYTHONPATH=str(Path(klein.__file__).parents[1]))
-    for call in ("klein.orthogonal_classes(repnum.sphere_points(21))",
+    for call in ("klein.genus_context(21)",
                  "[suites.run_suite(s, nmax=20) for s in "
                  "('klein', 'orth', 'comp-ort', 'pair-genus')]",
                  'cli.cmd_dispatch(["count", "--disc", "100"])',
@@ -314,7 +350,8 @@ def test_genus_context_leaves_the_verdict_to_the_suites(monkeypatch):
     they are: gauss-genus and pair-genus judge them."""
     for image in ([(2, 2, 3), (2, 0, 10)], [(1, 0, 5), (2, 2, 3)]):  # disc -20, -80
         genus_context.cache_clear()
-        monkeypatch.setattr(klein, "orthogonal_classes", lambda points: image)
+        monkeypatch.setattr(klein, "_class_table", lattice.NormTable(
+            lambda nmax: [image] * (nmax + 1), lattice.NORM_LIMIT))
         assert genus_context(5)[2] == image
 
 

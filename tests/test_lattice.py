@@ -295,7 +295,7 @@ def test_orbit_weights_are_half_the_orbit_sizes():
     G = [(e, p) for e in itertools.product((1, -1), repeat=3)
          for p in itertools.permutations(range(3))]
     weighted = np.zeros(1025, dtype=np.int64)
-    for weight, s, x in lattice._orbit_classes(1024):
+    for weight, s, x in lattice.orbit_representatives(1024):
         weighted += weight * np.bincount(s, minlength=1025)
         for row in x.tolist():
             assert 0 <= row[0] <= row[1] <= row[2]
@@ -322,7 +322,7 @@ _SHAPES = {
 def test_a_wrong_orbit_weight_is_caught(monkeypatch, shape, wrong):
     """One orbit shape weighted wrong: the fill no longer matches the full
     stream, already at the ceilings below 64."""
-    real = lattice._orbit_classes
+    real = lattice.orbit_representatives
 
     def mutant(nmax):
         for weight, s, x in real(nmax):
@@ -330,7 +330,7 @@ def test_a_wrong_orbit_weight_is_caught(monkeypatch, shape, wrong):
             yield weight, s[~hit], x[~hit]
             yield wrong, s[hit], x[hit]
 
-    monkeypatch.setattr(lattice, "_orbit_classes", mutant)
+    monkeypatch.setattr(lattice, "orbit_representatives", mutant)
     assert _orbit_counts_miss(range(1, 64))
 
 

@@ -297,6 +297,29 @@ def test_l_value_check_small():
         math.pi / math.sqrt(11))
 
 
+def _l_value_d0(dmax):
+    return [d0 for d0 in range(11, dmax + 1, 8) if repnum.is_squarefree(d0)]
+
+
+def test_l_value_character_is_the_kronecker_symbol():
+    """The character table of `l_value_check`, from Euler's criterion at
+    each prime of d0, is (-d0 | a) for every a < d0, at every squarefree
+    d0 = 3 mod 8 up to 2000."""
+    for d0 in [3, *_l_value_d0(2000)]:
+        assert mds._character(d0).tolist() == [
+            repnum.kronecker_symbol(-d0, a) for a in range(d0)], d0
+
+
+def test_l_value_rejects_a_negated_prime_symbol(monkeypatch):
+    """The symbol of one prime of d0 negated in the product negates the
+    whole character table: l-value fails at every d0."""
+    real = mds._character
+    monkeypatch.setattr(mds, "_character", lambda d0: -real(d0))
+    report = suites.check_l_value(dmax=200)
+    assert report["status"] == "fail"
+    assert [f["d0"] for f in report["detail"]["failures"]] == _l_value_d0(200)
+
+
 @pytest.mark.parametrize("d0", [11, 19, 131, 395])
 def test_l_value_chunked_sum_matches_one_shot(d0):
     """The chunked head sum against the whole L_TERMS-term array at once."""

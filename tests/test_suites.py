@@ -237,16 +237,15 @@ def test_comp_ort_and_pair_genus_accept_another_basis(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["comp-ort", "pair-genus"])
-def test_nmax_past_the_int64_bound_is_refused(monkeypatch, capsys, name):
-    def refuse(self, nmax):
-        raise RuntimeError(f"table built to {nmax}")
-
-    monkeypatch.setattr(lattice.NormTable, "warm", refuse)
+def test_nmax_past_the_int64_bound_is_refused(capsys, name):
+    """An nmax past the int64 bound of the products, 2^29 and more, is past
+    the table of planes' `ROW_LIMIT` long before: refused there, before
+    anything is filled."""
     past = lattice.NMAX_INT64 + 1
-    with pytest.raises(ValueError, match="int64 bound"):
+    with pytest.raises(ValueError, match=f"is past {lattice.ROW_LIMIT}"):
         suites.run_suite(name, nmax=past)
     assert cmd_dispatch(["verify", name, "--nmax", str(past)]) == 2
-    assert "int64 bound" in capsys.readouterr().err
+    assert f"is past {lattice.ROW_LIMIT}" in capsys.readouterr().err
 
 
 def test_gauss_genus_reports_a_sublattice(monkeypatch):
@@ -429,18 +428,24 @@ def test_r24_builds_the_count_array_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["gauss-genus", "klein"])
 def test_sphere_readers_fill_the_sphere_table_once(monkeypatch, name):
-    """A suite that reads sphere points fills their table once, to its bound,
-    not at each doubling of a rising norm."""
+    """klein, the one suite that reads sphere points, fills their table
+    once, to its bound, not at each doubling of a rising norm; gauss-genus
+    fills the class table on v^perp so, and never the sphere table."""
     built = []
 
     def blocks(nmax):
-        built.append(nmax)
+        built.append(("sphere", nmax))
         return lattice.ball(nmax)
+
+    def classes(nmax):
+        built.append(("class", nmax))
+        return klein._theorem_classes(nmax)
 
     monkeypatch.setattr(repnum, "_sphere_table",
                         lattice.NormTable(lattice.rows_by_norm(blocks), lattice.NORM_LIMIT))
+    monkeypatch.setattr(klein, "_class_table", lattice.NormTable(classes, lattice.NORM_LIMIT))
     assert suites.run_suite(name, nmax=150)["status"] == "pass"
-    assert built == [150]
+    assert built == [("class" if name == "gauss-genus" else "sphere", 150)]
 
 
 def test_r24_reports_one_moved_plucker_count(monkeypatch):
